@@ -25,7 +25,7 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: nine passes over the module, zero findings required.
+# Static analysis: ten passes over the module, zero findings required.
 # -stats prints per-pass kept/suppressed counts; CI runs this target
 # under a 30-second wall-clock budget (see .github/workflows/ci.yml), so
 # pass-cost regressions fail loudly. BenchmarkLintRepo tracks the same
@@ -71,7 +71,8 @@ bench:
 	$(GO) run ./cmd/benchjson -label current -o BENCH_core.json < /tmp/bench_raw.txt
 
 # Perf gate: rerun the hot-path benchmarks and fail on a >15% min-ns/op
-# regression against the committed archive (see cmd/benchdiff).
+# or min-allocs/op regression against the committed archive (see
+# cmd/benchdiff).
 # Benchmarks present on one side only (e.g. the archived event storm)
 # are reported but never fail the gate. Six repetitions per benchmark:
 # the diff compares min against min, and the min of six samples sits

@@ -13,11 +13,15 @@
 // shape: core files carry "results" (per-benchmark min ns/op), kap
 // files carry "records" (per-configuration p50/p95/p99 latencies).
 //
-// For core files the gated metric is min_ns_per_op per benchmark; for
-// kap files the put/fence/get p50_ms and p99_ms per configuration. A
-// metric regresses when new > old * (1 + threshold). Benchmarks present
-// on only one side are reported but never fail the gate, so adding or
-// retiring a benchmark does not break CI.
+// For core files the gated metrics are min_ns_per_op and
+// min_allocs_per_op per benchmark; for kap files the put/fence/get
+// p50_ms and p99_ms per configuration. A metric regresses when
+// new > old * (1 + threshold). Benchmarks present on only one side are
+// reported but never fail the gate, so adding or retiring a benchmark
+// does not break CI; likewise allocs/op gates only when both sides
+// report it (benchjson omits it without -benchmem and at zero, and no
+// ratio is defined against zero — zero-alloc paths are pinned by
+// testing.AllocsPerRun tests instead).
 package main
 
 import (
@@ -45,9 +49,10 @@ func (d delta) ratio() float64 {
 
 // coreResult is the slice of a benchjson result the gate cares about.
 type coreResult struct {
-	Pkg     string  `json:"pkg"`
-	Name    string  `json:"name"`
-	MinNsOp float64 `json:"min_ns_per_op"`
+	Pkg      string  `json:"pkg"`
+	Name     string  `json:"name"`
+	MinNsOp  float64 `json:"min_ns_per_op"`
+	MinAlloc float64 `json:"min_allocs_per_op"`
 }
 
 // kapRecord is the slice of a kap sweep record the gate cares about:
@@ -145,6 +150,9 @@ func diffCore(oldR, newR []coreResult) (deltas []delta, unmatched []string) {
 		}
 		seen[key] = true
 		deltas = append(deltas, delta{Metric: key + " min_ns_per_op", Old: o.MinNsOp, New: r.MinNsOp})
+		if o.MinAlloc > 0 && r.MinAlloc > 0 {
+			deltas = append(deltas, delta{Metric: key + " min_allocs_per_op", Old: o.MinAlloc, New: r.MinAlloc})
+		}
 	}
 	for _, r := range oldR {
 		if key := r.Pkg + " " + r.Name; !seen[key] {

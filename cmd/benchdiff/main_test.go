@@ -71,6 +71,39 @@ func TestDiffCorePairsAndReportsUnmatched(t *testing.T) {
 	}
 }
 
+// TestDiffCoreGatesAllocs: allocs/op is compared whenever both sides
+// report it, and only then — a side without the figure (no -benchmem, or
+// a zero-alloc benchmark, which benchjson omits) never gates.
+func TestDiffCoreGatesAllocs(t *testing.T) {
+	oldS, err := parseSide([]byte(`{"results": [
+		{"pkg": "p", "name": "BenchmarkBoth", "min_ns_per_op": 100, "min_allocs_per_op": 20},
+		{"pkg": "p", "name": "BenchmarkOldOnly", "min_ns_per_op": 100, "min_allocs_per_op": 20},
+		{"pkg": "p", "name": "BenchmarkNewOnly", "min_ns_per_op": 100}
+	]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newS, err := parseSide([]byte(`{"results": [
+		{"pkg": "p", "name": "BenchmarkBoth", "min_ns_per_op": 90, "min_allocs_per_op": 45},
+		{"pkg": "p", "name": "BenchmarkOldOnly", "min_ns_per_op": 100},
+		{"pkg": "p", "name": "BenchmarkNewOnly", "min_ns_per_op": 100, "min_allocs_per_op": 900}
+	]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas, _, err := diff(oldS, newS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := regressions(deltas, 0.15)
+	if len(bad) != 1 || bad[0].Metric != "p BenchmarkBoth min_allocs_per_op" || bad[0].Old != 20 || bad[0].New != 45 {
+		t.Fatalf("regressions = %v, want only BenchmarkBoth's allocs 20 -> 45 (its ns/op improved)", bad)
+	}
+	if len(deltas) != 4 {
+		t.Fatalf("got %d deltas, want 3 ns/op + 1 allocs/op", len(deltas))
+	}
+}
+
 func TestRegressionsThreshold(t *testing.T) {
 	deltas := []delta{
 		{Metric: "fast", Old: 100, New: 80},     // improved

@@ -77,12 +77,11 @@ func storm() error {
 		// Per-hop codec cost on every link (the honest in-process stand-in
 		// for a real wire), membership anti-entropy off so the storm is
 		// the only traffic, modest per-broker shard counts to keep 10k
-		// brokers' worker pools within reason, and binary publish bodies.
+		// brokers' worker pools within reason.
 		Codec:        true,
 		SyncInterval: -1,
 		EventHistory: 16,
 		Shards:       2,
-		BinaryBodies: true,
 		// A pub request sequenced behind thousands of queued fan-out
 		// relays can legitimately wait minutes at this scale; the storm
 		// measures throughput, so the per-RPC liveness deadline is off.

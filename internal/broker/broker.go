@@ -241,12 +241,6 @@ type Config struct {
 	// on shard 0. 0 defaults to min(GOMAXPROCS, 8); 1 restores the fully
 	// serialized single-loop dispatch.
 	Shards int
-	// BinaryBodies opts this broker's hot services (kvs.load/put,
-	// barrier enter, cmb.pub) into the length-prefixed binary body codec
-	// (wire.BinWriter/BinReader). Decoders always sniff, so a binary
-	// broker interoperates with JSON peers; the cmb.join handshake
-	// downgrades a joiner whose parent does not advertise binary bodies.
-	BinaryBodies bool
 }
 
 // DefaultSyncInterval is the default membership anti-entropy period.
@@ -410,8 +404,12 @@ type Broker struct {
 	lastEventSeq uint64     // last applied sequence number (guarded by mu)
 	eventHist    []eventRec // recent events + shared encodings (guarded by mu)
 
-	// binBodies mirrors Config.BinaryBodies, atomically flippable by the
-	// session join handshake's downgrade path.
+	// binBodies selects the encoding of the hot services' bodies
+	// (kvs.get/load/put, barrier enter, cmb.pub): the length-prefixed
+	// binary codec (wire.BinWriter/BinReader) when set, JSON otherwise.
+	// Every broker starts with it set and advertises it in cmb.join; the
+	// handshake clears it on a joiner whose parent does not echo it.
+	// Decoders always sniff, so either way peers interoperate.
 	binBodies atomic.Bool
 
 	done chan struct{} // closed once every shard worker has exited
@@ -421,8 +419,9 @@ type Broker struct {
 // payloads with the binary body codec.
 func (b *Broker) BinaryBodies() bool { return b.binBodies.Load() }
 
-// SetBinaryBodies flips the binary-body preference; the session join
-// handshake downgrades to JSON when a peer does not advertise support.
+// SetBinaryBodies flips the binary-body preference. The join handshake
+// uses it to downgrade to JSON under a parent that does not advertise
+// support, and mixed-encoding tests to stand up a JSON-only rank.
 func (b *Broker) SetBinaryBodies(on bool) { b.binBodies.Store(on) }
 
 // shard is one dispatch lane of the broker's sharded routing core. It
@@ -658,7 +657,7 @@ func New(cfg Config) (*Broker, error) {
 		s.cond = sync.NewCond(&s.mu)
 		b.shards[i] = s
 	}
-	b.binBodies.Store(cfg.BinaryBodies)
+	b.binBodies.Store(true)
 	b.publishLinksLocked()
 	b.publishModulesLocked()
 	for r := cfg.Rank; tree.Parent(r) >= 0; r = tree.Parent(r) {

@@ -149,8 +149,8 @@ func Decode(data []byte) (*Object, error) {
 				return nil, ErrCorrupt
 			}
 			p = p[w:]
-			if uint64(len(p)) < n+RefLen {
-				return nil, ErrCorrupt
+			if n > uint64(len(p)) || uint64(len(p))-n < RefLen {
+				return nil, ErrCorrupt // compared this way round: n+RefLen can wrap
 			}
 			name := string(p[:n])
 			p = p[n:]
@@ -163,6 +163,82 @@ func Decode(data []byte) (*Object, error) {
 	default:
 		return nil, ErrCorrupt
 	}
+}
+
+// ErrNotDir is returned by the in-place directory readers when handed a
+// well-formed value object.
+var ErrNotDir = errors.New("cas: object is not a directory")
+
+// dirTable checks an encoded object's kind byte and returns the entry
+// table behind it.
+func dirTable(encoded []byte) ([]byte, error) {
+	if len(encoded) == 0 {
+		return nil, ErrCorrupt
+	}
+	switch Kind(encoded[0]) {
+	case KindDir:
+		return encoded[1:], nil
+	case KindValue:
+		return nil, ErrNotDir
+	default:
+		return nil, ErrCorrupt
+	}
+}
+
+// nextEntry locates the first entry of a non-empty entry table: its name
+// is p[start:end] and its ref the RefLen bytes after that. ok is false
+// where Decode would report ErrCorrupt.
+func nextEntry(p []byte) (start, end int, ok bool) {
+	n, w := uint64(p[0]), 1
+	if n >= 0x80 { // names of 128 bytes and up take the general decoder
+		n, w = binary.Uvarint(p)
+	}
+	if w <= 0 || n > uint64(len(p)-w) || uint64(len(p)-w)-n < RefLen {
+		return 0, 0, false
+	}
+	return w, w + int(n), true
+}
+
+// DirEach walks an encoded directory in place — no Object, no map, no
+// name strings — calling fn for every entry in encoded (name-sorted)
+// order until fn returns false. name aliases encoded and is valid only
+// during the call. A complete walk returns ErrCorrupt on exactly the
+// inputs Decode rejects; a walk fn stops early has vouched only for the
+// entries it saw. A value object yields ErrNotDir.
+func DirEach(encoded []byte, fn func(name []byte, ref Ref) bool) error {
+	p, err := dirTable(encoded)
+	for err == nil && len(p) > 0 {
+		start, end, ok := nextEntry(p)
+		if !ok {
+			return ErrCorrupt
+		}
+		if !fn(p[start:end], Ref(p[end:end+RefLen])) {
+			break
+		}
+		p = p[end+RefLen:]
+	}
+	return err
+}
+
+// DirLookup finds name in an encoded directory without decoding it. It
+// relies on the canonical order Encode writes (sorted, unique names —
+// which every object this package produced has): the scan stops at the
+// match or at the first name sorting after it, so corruption past that
+// point goes unreported. It is DirEach's loop written out, because the
+// per-entry callback costs more than the comparison it would carry.
+func DirLookup(encoded []byte, name string) (Ref, bool, error) {
+	p, err := dirTable(encoded)
+	for err == nil && len(p) > 0 {
+		start, end, ok := nextEntry(p)
+		if !ok {
+			return Ref{}, false, ErrCorrupt
+		}
+		if n := p[start:end]; string(n) >= name {
+			return Ref(p[end : end+RefLen]), string(n) == name, nil
+		}
+		p = p[end+RefLen:]
+	}
+	return Ref{}, false, err
 }
 
 // HashOf returns the SHA-1 reference of encoded object bytes.
@@ -213,6 +289,18 @@ func (s *Store) Put(o *Object) Ref {
 // PutRaw stores pre-encoded object bytes and returns their reference.
 func (s *Store) PutRaw(encoded []byte) Ref {
 	ref := HashOf(encoded)
+	s.PutHashed(ref, encoded)
+	return ref
+}
+
+// PutHashed is PutRaw for a caller that has already hashed the bytes
+// (to verify them against an expected reference, say) and vouches that
+// ref == HashOf(encoded), sparing the second SHA-1 pass. Debuglock
+// builds check the claim.
+func (s *Store) PutHashed(ref Ref, encoded []byte) {
+	if debuglock.Enabled && HashOf(encoded) != ref {
+		panic(fmt.Sprintf("cas: PutHashed(%s) given bytes hashing to %s", ref.Short(), HashOf(encoded).Short()))
+	}
 	inserted := false
 	s.mu.Lock()
 	if e, ok := s.objs[ref]; ok {
@@ -228,7 +316,6 @@ func (s *Store) PutRaw(encoded []byte) Ref {
 	if inserted && s.sink != nil {
 		s.sink(ref, encoded)
 	}
-	return ref
 }
 
 // SetSink installs the write-through hook; see the sink field. Must be

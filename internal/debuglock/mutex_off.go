@@ -4,6 +4,10 @@ package debuglock
 
 import "sync"
 
+// Enabled reports whether this is a `-tags debuglock` build, so callers
+// can gate their own debug-only assertions on the same switch.
+const Enabled = false
+
 // Mutex is sync.Mutex in release builds; `-tags debuglock` swaps in the
 // order-checking variant. The zero value is an unlocked mutex.
 type Mutex struct {

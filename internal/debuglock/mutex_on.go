@@ -8,6 +8,9 @@ import (
 	"sync"
 )
 
+// Enabled reports whether this is a `-tags debuglock` build.
+const Enabled = true
+
 // Mutex is the order-checking variant selected by `-tags debuglock`.
 type Mutex struct {
 	mu    sync.Mutex

@@ -1,12 +1,15 @@
 package kvs
 
-import "fluxgo/internal/wire"
+import (
+	"fluxgo/internal/cas"
+	"fluxgo/internal/wire"
+)
 
-// Binary-coded (codec v3) forms of the hot kvs wire bodies. Encoding is
-// an encoder-side opt-in gated on the broker's negotiated BinaryBodies
-// flag; decoding always sniffs, so binary and JSON peers interoperate on
-// the same link, and responses follow the encoding of the request that
-// produced them.
+// Binary-coded (codec v3) forms of the hot kvs wire bodies. A broker
+// encodes them unless the join handshake found a JSON-only parent (its
+// BinaryBodies flag); decoding always sniffs, so binary and JSON peers
+// interoperate on the same link, and responses follow the encoding of
+// the request that produced them.
 
 func (b putBody) bin() wire.RawBody {
 	w := wire.NewBinWriter(len(b.Key) + len(b.Ref) + len(b.Data) + 8)
@@ -67,4 +70,53 @@ func decodeLoadResp(m *wire.Message) (body loadResp, err error) {
 	}
 	err = m.UnpackJSON(&body)
 	return body, err
+}
+
+func (b getBody) bin() wire.RawBody {
+	w := wire.NewBinWriter(len(b.Key) + len(b.Root) + 4)
+	w.String(b.Key)
+	w.String(b.Root)
+	return w.Finish()
+}
+
+func decodeGetBody(m *wire.Message) (body getBody, err error) {
+	if r, ok := wire.NewBinReader(m.Payload); ok {
+		body.Key = r.String()
+		body.Root = r.String()
+		return body, r.Err()
+	}
+	err = m.UnpackJSON(&body)
+	return body, err
+}
+
+// bin carries the reference as its 20 raw bytes, not hex, and the value
+// without JSON's validate-and-compact pass over it.
+func (b getResp) bin() wire.RawBody {
+	n := cas.RefLen + len(b.Val) + 8
+	for _, s := range b.Dir {
+		n += len(s) + 2
+	}
+	w := wire.NewBinWriter(n)
+	w.Bytes(b.Ref[:])
+	w.Bytes(b.Val)
+	w.StringSlice(b.Dir)
+	return w.Finish()
+}
+
+func decodeGetResp(m *wire.Message) (body getResp, err error) {
+	if r, ok := wire.NewBinReader(m.Payload); ok {
+		r.Fixed(body.Ref[:])
+		body.Val = r.Bytes()
+		body.Dir = r.StringSlice()
+		return body, r.Err()
+	}
+	var j getRespJSON
+	if err = m.UnpackJSON(&j); err != nil {
+		return body, err
+	}
+	if body.Ref, err = cas.ParseRef(j.Ref); err != nil {
+		return body, err
+	}
+	body.Val, body.Dir = j.Val, j.Dir
+	return body, nil
 }

@@ -2,9 +2,15 @@ package kvs
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 
+	"fluxgo/internal/broker"
+	"fluxgo/internal/cas"
+	extclient "fluxgo/internal/client"
 	"fluxgo/internal/session"
+	"fluxgo/internal/transport"
 	"fluxgo/internal/wire"
 )
 
@@ -43,6 +49,32 @@ func TestBinBodyRoundTrip(t *testing.T) {
 		t.Fatalf("loadResp round trip: got %+v, want %+v", gotResp, resp)
 	}
 
+	get := getBody{Key: "a.b", Root: "0123"}
+	gotGet, err := decodeGetBody(&wire.Message{Payload: []byte(get.bin())})
+	if err != nil || gotGet != get {
+		t.Fatalf("getBody round trip: got %+v, %v; want %+v", gotGet, err, get)
+	}
+	for _, want := range []getResp{
+		{Ref: cas.HashOf([]byte("v1")), Val: []byte(`{"k":1}`)},
+		{Ref: cas.HashOf([]byte("d")), Dir: []string{"a", "b"}},
+	} {
+		for form, payload := range map[string][]byte{"binary": want.bin(), "json": nil} {
+			m := &wire.Message{Topic: "kvs.get", Payload: payload}
+			if payload == nil {
+				if err := m.PackJSON(getRespJSON{Ref: want.Ref.String(), Val: want.Val, Dir: want.Dir}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := decodeGetResp(m)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("getResp %s round trip: got %+v, %v; want %+v", form, got, err, want)
+			}
+		}
+	}
+	if _, err := decodeGetResp(&wire.Message{Payload: []byte{wire.BinMagic, 3, 1, 2, 3, 0, 0}}); err == nil {
+		t.Fatal("a 3-byte reference decoded without error")
+	}
+
 	// JSON forms hit the same decoders through the sniff-miss path.
 	jm, err := wire.NewRequest("kvs.put", wire.NodeidAny, put)
 	if err != nil {
@@ -67,11 +99,10 @@ func TestBinBodyRoundTrip(t *testing.T) {
 func binKVSSession(t testing.TB, size, arity int) *session.Session {
 	t.Helper()
 	s, err := session.New(session.Options{
-		Size:         size,
-		Arity:        arity,
-		Codec:        true,
-		BinaryBodies: true,
-		Modules:      []session.ModuleFactory{Factory(ModuleConfig{})},
+		Size:    size,
+		Arity:   arity,
+		Codec:   true,
+		Modules: []session.ModuleFactory{Factory(ModuleConfig{})},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,5 +189,113 @@ func TestBinaryBodiesCrossVersionLinks(t *testing.T) {
 	}
 	if got != 11 {
 		t.Fatalf("cross.j at binary rank = %d, want 11", got)
+	}
+
+	t.Run("get", crossVersionGet)
+}
+
+// crossVersionGet covers the kvs.get pair on mixed links: a binary leaf
+// faulting through a JSON-only interior rank to a binary root, the
+// JSON-only rank's own reads, and an external JSON-only caller
+// (internal/client over a real socket, speaking what cmd/flux speaks)
+// against a binary-body broker.
+func crossVersionGet(t *testing.T) {
+	s := binKVSSession(t, 7, 2)
+	s.Broker(1).SetBinaryBodies(false) // interior: parent of ranks 3 and 4
+
+	w := client(t, s, 0)
+	if err := w.Put("x.val", "deep"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Put("x.dir.a", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Put("x.dir.b", 2); err != nil {
+		t.Fatal(err)
+	}
+	ver, err := w.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRef, err := w.GetRef("x.dir")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, rank := range []int{3, 1} { // binary leaf under the JSON rank, then the JSON rank
+		c := client(t, s, rank)
+		if err := c.WaitVersion(ver); err != nil {
+			t.Fatal(err)
+		}
+		var v string
+		if err := c.Get("x.val", &v); err != nil || v != "deep" {
+			t.Fatalf("rank %d: x.val = %q, %v", rank, v, err)
+		}
+		if dir, err := c.GetDir("x.dir"); err != nil || len(dir) != 2 || dir[0] != "a" || dir[1] != "b" {
+			t.Fatalf("rank %d: x.dir = %v, %v", rank, dir, err)
+		}
+		if ref, err := c.GetRef("x.dir"); err != nil || ref != wantRef {
+			t.Fatalf("rank %d: x.dir ref = %s, %v; want %s", rank, ref, err, wantRef)
+		}
+		if err := c.Get("x.val.under", nil); !ErrNotDir(err) {
+			t.Fatalf("rank %d: read through a value: %v, want ENOTDIR", rank, err)
+		}
+		if err := c.Get("x.none", nil); !ErrNotFound(err) {
+			t.Fatalf("rank %d: read of a missing key: %v, want ENOENT", rank, err)
+		}
+	}
+
+	// The external caller: JSON request in, JSON response out, from a
+	// broker (rank 4, binary) whose own traffic is binary.
+	key := []byte("cross-version")
+	ln, err := transport.Listen("127.0.0.1:0", key, "rank:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err == nil {
+			s.Broker(4).AttachConn(broker.LinkClient, conn)
+		}
+		accepted <- err
+	}()
+	ext, err := extclient.Dial(ln.Addr().String(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ext.Close()
+	if err := <-accepted; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ext.RPC("kvs.sync", wire.NodeidAny, map[string]uint64{"version": ver}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ext.RPC("kvs.get", wire.NodeidAny, map[string]string{"key": "x.val"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Ref string          `json:"ref"`
+		Val json.RawMessage `json:"val"`
+		Dir []string        `json:"dir"`
+	}
+	if wire.IsBinaryBody(resp.Payload) {
+		t.Fatal("JSON kvs.get was answered with a binary body")
+	}
+	if err := resp.UnpackJSON(&body); err != nil || string(body.Val) != `"deep"` || len(body.Ref) != 2*cas.RefLen {
+		t.Fatalf("external get x.val = %+v, %v", body, err)
+	}
+	resp, err = ext.RPC("kvs.get", wire.NodeidAny, map[string]string{"key": "x.dir"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body.Val = nil
+	if err := resp.UnpackJSON(&body); err != nil || body.Ref != wantRef || len(body.Dir) != 2 || body.Val != nil {
+		t.Fatalf("external get x.dir = %+v, %v", body, err)
+	}
+	if _, err := ext.RPC("kvs.get", wire.NodeidAny, map[string]string{"key": "x.none"}); !ErrNotFound(err) {
+		t.Fatalf("external get of a missing key: %v, want ENOENT", err)
 	}
 }

@@ -232,22 +232,31 @@ func (c *Client) GetRef(key string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return resp.Ref, nil
+	return resp.Ref.String(), nil
 }
 
-func (c *Client) getRaw(key string) (*getResp, error) {
+func (c *Client) getRaw(key string) (getResp, error) {
+	return c.getAt("", key)
+}
+
+// getAt reads key under the snapshot root rootRef (hex), or under the
+// current root when rootRef is empty.
+func (c *Client) getAt(rootRef, key string) (getResp, error) {
 	if err := ValidateKey(key); err != nil {
-		return nil, err
+		return getResp{}, err
 	}
-	resp, err := c.h.RPCWithOptions(context.Background(), c.topic("get"), wire.NodeidAny, getBody{Key: key}, readOpts)
+	body := getBody{Key: key, Root: rootRef}
+	var req any
+	if c.h.BinaryBodies() {
+		req = body.bin()
+	} else {
+		req = body
+	}
+	resp, err := c.h.RPCWithOptions(context.Background(), c.topic("get"), wire.NodeidAny, req, readOpts)
 	if err != nil {
-		return nil, err
+		return getResp{}, err
 	}
-	var body getResp
-	if err := resp.UnpackJSON(&body); err != nil {
-		return nil, err
-	}
-	return &body, nil
+	return decodeGetResp(resp)
 }
 
 // RootRef returns the local root reference (hex) and version — a
@@ -271,24 +280,17 @@ func (c *Client) RootRef() (string, uint64, error) {
 // caches" (the master pins all content; slave caches may need to fault
 // expired objects back in).
 func (c *Client) GetAt(rootRef, key string, out any) error {
-	if err := ValidateKey(key); err != nil {
-		return err
-	}
-	resp, err := c.h.RPCWithOptions(context.Background(), c.topic("get"), wire.NodeidAny, getBody{Key: key, Root: rootRef}, readOpts)
+	resp, err := c.getAt(rootRef, key)
 	if err != nil {
 		return err
 	}
-	var body getResp
-	if err := resp.UnpackJSON(&body); err != nil {
-		return err
-	}
-	if body.Val == nil {
+	if resp.Val == nil {
 		return fmt.Errorf("kvs: %q is a directory", key)
 	}
 	if out == nil {
 		return nil
 	}
-	return json.Unmarshal(body.Val, out)
+	return json.Unmarshal(resp.Val, out)
 }
 
 // GetVersion returns the local root version (kvs_get_version). Passing
@@ -346,7 +348,7 @@ func (c *Client) Watch(ctx context.Context, key string) (<-chan WatchUpdate, err
 		u := WatchUpdate{Key: key, Version: version}
 		resp, err := c.getRaw(key)
 		if err == nil {
-			u.Ref = resp.Ref
+			u.Ref = resp.Ref.String()
 			u.Val = resp.Val
 			u.Dir = resp.Dir
 			u.Exists = true
@@ -374,6 +376,13 @@ func (c *Client) Watch(ctx context.Context, key string) (<-chan WatchUpdate, err
 				}
 				var body rootBody
 				if err := ev.UnpackJSON(&body); err != nil {
+					continue
+				}
+				// The event reached this handle; the local kvs module may
+				// not have applied it yet (its inbox lanes do not order an
+				// event against a later request), and a re-read under the
+				// old root would look unchanged and drop the update.
+				if err := c.WaitVersion(body.Version); err != nil {
 					continue
 				}
 				cur := state(body.Version)

@@ -3,9 +3,9 @@ package kvs
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -60,7 +60,17 @@ type getBody struct {
 	Root string `json:"root,omitempty"`
 }
 
+// getResp answers a kvs.get: the terminal object's reference and either
+// a value's JSON bytes or a directory's sorted entry names. It is the
+// in-memory form on both sides; getRespJSON and bin are its two wire
+// forms.
 type getResp struct {
+	Ref cas.Ref
+	Val []byte // nil for a directory
+	Dir []string
+}
+
+type getRespJSON struct {
 	Ref string          `json:"ref"`
 	Val json.RawMessage `json:"val,omitempty"`
 	Dir []string        `json:"dir,omitempty"`
@@ -452,7 +462,7 @@ func (m *Module) recvPut(msg *wire.Message) {
 		m.h.RespondError(msg, broker.ErrnoProto, "kvs: put ref does not match data hash")
 		return
 	}
-	m.store.PutRaw(body.Data)
+	m.store.PutHashed(ref, body.Data)
 	if m.isMaster() {
 		m.store.Pin(ref)
 	}
@@ -901,12 +911,17 @@ func (m *Module) loadObjects(refs []cas.Ref) error {
 	}
 	var need []cas.Ref
 	var waits []*flight
-	seen := make(map[cas.Ref]bool, len(refs))
+	var seen map[cas.Ref]bool // dedupes refs; a single ref has no duplicate
+	if len(refs) > 1 {
+		seen = make(map[cas.Ref]bool, len(refs))
+	}
 	for _, ref := range refs {
 		if seen[ref] || m.store.Has(ref) {
 			continue
 		}
-		seen[ref] = true
+		if seen != nil {
+			seen[ref] = true
+		}
 		if m.disk != nil {
 			// The read-miss tier: an object evicted from memory (or never
 			// warmed after a restart) may still be on local disk, sparing
@@ -986,8 +1001,8 @@ func (m *Module) fetchBatch(refs []cas.Ref) map[cas.Ref]error {
 			}
 			continue
 		}
-		for _, ref := range chunk {
-			data, ok := body.Objects[ref.String()]
+		for i, ref := range chunk {
+			data, ok := body.Objects[hex[i]]
 			if !ok {
 				errs[ref] = fmt.Errorf("kvs: object %s not found", ref.Short())
 				continue
@@ -997,7 +1012,7 @@ func (m *Module) fetchBatch(refs []cas.Ref) map[cas.Ref]error {
 				continue
 			}
 			m.obsLoads.Inc()
-			m.store.PutRaw(data)
+			m.store.PutHashed(ref, data)
 		}
 	}
 	return errs
@@ -1097,14 +1112,24 @@ func (m *Module) respondLoad(msg *wire.Message, resp loadResp) {
 	m.h.Respond(msg, resp)
 }
 
+// respondGet answers a kvs.get in the encoding its request used, like
+// respondLoad.
+func (m *Module) respondGet(msg *wire.Message, resp getResp) {
+	if wire.IsBinaryBody(msg.Payload) {
+		m.h.Respond(msg, resp.bin())
+		return
+	}
+	m.h.Respond(msg, getRespJSON{Ref: resp.Ref.String(), Val: resp.Val, Dir: resp.Dir})
+}
+
 // recvGet resolves the read's snapshot root on the Recv goroutine (the
 // only place module root state may be touched, and what keeps a get
 // ordered against the setroot events queued before it), then hands the
 // tree walk to a worker goroutine.
 func (m *Module) recvGet(msg *wire.Message) {
 	start := time.Now()
-	var body getBody
-	if err := msg.UnpackJSON(&body); err != nil {
+	body, err := decodeGetBody(msg)
+	if err != nil {
 		m.h.RespondError(msg, broker.ErrnoInval, err.Error())
 		return
 	}
@@ -1144,42 +1169,45 @@ func (m *Module) recvGet(msg *wire.Message) {
 }
 
 // prefetchDir batches the fault-in of a directory's missing entries:
-// when the walk needs one child of dir, every other missing entry is
-// almost certainly about to be read too (deep reads and dir scans touch
-// them all), so they ride along in the same upstream round-trip. next is
-// placed first so the cap can never push out the object the walk
-// actually needs; failures beyond next are harmless (that entry just
-// faults again when actually read).
-func (m *Module) prefetchDir(dir map[string]cas.Ref, next cas.Ref) {
+// when the walk needs one child of the (encoded) directory dir, every
+// other missing entry is almost certainly about to be read too (deep
+// reads and dir scans touch them all), so they ride along in the same
+// upstream round-trip. next is placed first so the cap can never push
+// out the object the walk actually needs; failures beyond next are
+// harmless (that entry just faults again when actually read).
+func (m *Module) prefetchDir(dir []byte, next cas.Ref) {
 	if m.isMaster() || m.store.Has(next) {
 		// Prefetch only rides along with a fetch the walk needs anyway;
 		// when next is cached, no speculative RPC is worth the latency.
 		return
 	}
-	refs := make([]cas.Ref, 1, len(dir))
+	refs := make([]cas.Ref, 1, maxLoadBatch)
 	refs[0] = next
-	for _, ref := range dir {
-		if len(refs) >= maxLoadBatch {
-			break
-		}
+	// The walk already looked next up in dir, so dir parses at least
+	// that far; whatever DirEach reports past it costs only prefetches.
+	_ = cas.DirEach(dir, func(_ []byte, ref cas.Ref) bool {
 		if ref != next && !m.store.Has(ref) {
 			refs = append(refs, ref)
 		}
-	}
+		return len(refs) < maxLoadBatch
+	})
 	// Best effort: the walk re-checks next via loadObject and reports
 	// its own error there.
 	_ = m.loadObjects(refs)
 }
 
 // serveGet walks the hash tree from root and responds with the terminal
-// object: a value's JSON, or a directory's sorted entry list. With fault
-// set, misses are faulted in from upstream, batched per directory level
-// (see prefetchDir), and the walk always completes (done is true).
-// Without it — the synchronous fast path — the walk uses only the local
-// cache and bails with done == false at the first miss, responding
-// nothing; errors the cache alone can prove (a bad path, a missing
-// entry) are final in either mode, because the walk reads an immutable
-// content-addressed snapshot.
+// object: a value's JSON, or a directory's sorted entry list. Objects
+// are read as the store holds them — each path component is looked up
+// in its directory's encoded bytes and the value is answered from the
+// encoded object — so a get builds no cas.Object at any level. With
+// fault set, misses are faulted in from upstream, batched per directory
+// level (see prefetchDir), and the walk always completes (done is
+// true). Without it — the synchronous fast path — the walk uses only
+// the local cache and bails with done == false at the first miss,
+// responding nothing; errors the cache alone can prove (a bad path, a
+// missing entry) are final in either mode, because the walk reads an
+// immutable content-addressed snapshot.
 func (m *Module) serveGet(msg *wire.Message, key string, root cas.Ref, fault bool) (done bool) {
 	load := func(ref cas.Ref) ([]byte, bool, error) {
 		if !fault {
@@ -1190,8 +1218,10 @@ func (m *Module) serveGet(msg *wire.Message, key string, root cas.Ref, fault boo
 		return data, err == nil, err
 	}
 	ref := root
-	parts := splitKey(key)
-	for i, part := range parts {
+	at := "root" // the component that named ref, for ENOTDIR
+	for rest := key; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, ".")
 		data, ok, err := load(ref)
 		if err != nil {
 			m.h.RespondError(msg, broker.ErrnoNoEnt, err.Error())
@@ -1200,29 +1230,23 @@ func (m *Module) serveGet(msg *wire.Message, key string, root cas.Ref, fault boo
 		if !ok {
 			return false
 		}
-		obj, derr := cas.Decode(data)
-		if derr != nil {
-			m.h.RespondError(msg, broker.ErrnoProto, derr.Error())
-			return true
-		}
-		if obj.Kind != cas.KindDir {
-			at := "root"
-			if i > 0 {
-				at = parts[i-1]
-			}
+		next, found, derr := cas.DirLookup(data, part)
+		switch {
+		case errors.Is(derr, cas.ErrNotDir):
 			m.h.RespondError(msg, errNotDir,
 				fmt.Sprintf("kvs: %q: %q is not a directory", key, at))
 			return true
-		}
-		next, ok := obj.Dir[part]
-		if !ok {
+		case derr != nil:
+			m.h.RespondError(msg, broker.ErrnoProto, derr.Error())
+			return true
+		case !found:
 			m.h.RespondError(msg, broker.ErrnoNoEnt, fmt.Sprintf("kvs: %q: no such key", key))
 			return true
 		}
 		if fault {
-			m.prefetchDir(obj.Dir, next)
+			m.prefetchDir(data, next)
 		}
-		ref = next
+		ref, at = next, part
 	}
 	data, ok, err := load(ref)
 	if err != nil {
@@ -1232,22 +1256,19 @@ func (m *Module) serveGet(msg *wire.Message, key string, root cas.Ref, fault boo
 	if !ok {
 		return false
 	}
-	obj, derr := cas.Decode(data)
-	if derr != nil {
+	resp := getResp{Ref: ref}
+	derr := cas.DirEach(data, func(name []byte, _ cas.Ref) bool {
+		resp.Dir = append(resp.Dir, string(name))
+		return true
+	})
+	switch {
+	case errors.Is(derr, cas.ErrNotDir):
+		resp.Val = data[1:]
+	case derr != nil:
 		m.h.RespondError(msg, broker.ErrnoProto, derr.Error())
 		return true
 	}
-	resp := getResp{Ref: ref.String()}
-	if obj.Kind == cas.KindDir {
-		resp.Dir = []string{}
-		for name := range obj.Dir {
-			resp.Dir = append(resp.Dir, name)
-		}
-		sort.Strings(resp.Dir)
-	} else {
-		resp.Val = json.RawMessage(obj.Value)
-	}
-	m.h.Respond(msg, resp)
+	m.respondGet(msg, resp)
 	return true
 }
 

@@ -37,10 +37,8 @@ func ValidateKey(key string) error {
 	if key == "" {
 		return fmt.Errorf("kvs: empty key")
 	}
-	for _, part := range strings.Split(key, ".") {
-		if part == "" {
-			return fmt.Errorf("kvs: key %q has an empty path component", key)
-		}
+	if key[0] == '.' || key[len(key)-1] == '.' || strings.Contains(key, "..") {
+		return fmt.Errorf("kvs: key %q has an empty path component", key)
 	}
 	return nil
 }

@@ -158,10 +158,9 @@ func TestBarrierNprocsMismatch(t *testing.T) {
 func TestBarrierBinaryBodies(t *testing.T) {
 	const size = 7
 	s, err := session.New(session.Options{
-		Size:         size,
-		Codec:        true,
-		BinaryBodies: true,
-		Modules:      []session.ModuleFactory{Factory},
+		Size:    size,
+		Codec:   true,
+		Modules: []session.ModuleFactory{Factory},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,14 +7,14 @@ import "testing"
 // echoes the capability leaves it on; a parent that does not (an older
 // or reconfigured session) downgrades the joiner to JSON.
 func TestBinaryBodiesJoinNegotiation(t *testing.T) {
-	s, err := New(Options{Size: 1, BinaryBodies: true})
+	s, err := New(Options{Size: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
 	if !s.Broker(0).BinaryBodies() {
-		t.Fatal("root did not take Options.BinaryBodies")
+		t.Fatal("root did not start with binary bodies on")
 	}
 
 	// Parent advertises binary bodies: the grown rank keeps them.

@@ -99,7 +99,6 @@ func (s *Session) growOne() (int, error) {
 		SessionID:    s.opts.SessionID,
 		LogRecords:   s.opts.LogRecords,
 		Shards:       s.opts.Shards,
-		BinaryBodies: s.opts.BinaryBodies,
 		Epoch:        epoch,
 		Tombstones:   tombs,
 		Joined:       true,

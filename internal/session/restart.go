@@ -95,7 +95,6 @@ func (s *Session) restartLocked(r int) error {
 		SessionID:    s.opts.SessionID,
 		LogRecords:   s.opts.LogRecords,
 		Shards:       s.opts.Shards,
-		BinaryBodies: s.opts.BinaryBodies,
 		Epoch:        epoch,
 		Tombstones:   tombs,
 		Joined:       true,

@@ -83,10 +83,6 @@ type Options struct {
 	// Shards sets each broker's route-dispatch shard count (0 picks the
 	// broker default). Benchmarks raise it to exercise contended flows.
 	Shards int
-	// BinaryBodies opts every broker's hot services into binary-coded
-	// (codec v3) request/response bodies; the join handshake downgrades
-	// any broker whose parent does not speak them.
-	BinaryBodies bool
 }
 
 // Session is a running comms session.
@@ -153,7 +149,6 @@ func New(opts Options) (*Session, error) {
 			SessionID:    opts.SessionID,
 			LogRecords:   opts.LogRecords,
 			Shards:       opts.Shards,
-			BinaryBodies: opts.BinaryBodies,
 			Grow:         s.hookGrow,
 			Shrink:       s.hookShrink,
 			Restart:      s.hookRestart,

@@ -20,10 +20,10 @@ import (
 // reader/writer call sequence, exactly like the frame codec itself.
 // Because JSON bodies always start with an ASCII byte ('{', '[', '"',
 // a digit, ...), decoders sniff the first byte and accept either
-// encoding unconditionally — binary is an *encoder-side* opt-in
-// (negotiated through the cmb.join handshake; see broker.Config
-// BinaryBodies), and a JSON-only peer never needs to know the binary
-// form exists.
+// encoding unconditionally — which body to *emit* is the encoder's
+// choice (binary unless the cmb.join handshake found a JSON-only parent;
+// see broker.Broker.BinaryBodies), and a JSON-only peer never needs to
+// know the binary form exists.
 const BinMagic = 0xB3
 
 // IsBinaryBody reports whether payload carries a binary-coded body.
@@ -149,6 +149,18 @@ func (r *BinReader) Bytes() []byte {
 		return nil
 	}
 	return append([]byte(nil), b...)
+}
+
+// Fixed reads a length-prefixed byte field of exactly len(dst) bytes
+// into dst — a fixed-size field (a hash, say) without Bytes' copy-out
+// allocation. Any other length is a decode error.
+func (r *BinReader) Fixed(dst []byte) {
+	b := r.take(r.uvarint())
+	if r.err == nil && len(b) != len(dst) {
+		r.fail()
+		return
+	}
+	copy(dst, b)
 }
 
 // Uint reads a uvarint field.
