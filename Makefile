@@ -17,7 +17,7 @@ GO ?= go
 # Hot-path packages covered by `make bench` / the CI bench job.
 BENCH_PKGS = ./internal/wire/ ./internal/broker/ ./internal/kvs/ ./internal/cas/ ./internal/obs/ ./cmd/fluxlint/
 
-.PHONY: build test check chaos recovery vet lint debuglock bench benchdiff
+.PHONY: build test check chaos recovery vet lint debuglock fuzz bench benchdiff
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,14 @@ debuglock:
 # Longer fault-injection soak; honours CHAOS_SOAK / CHAOS_SEED.
 chaos:
 	$(GO) test -race -run 'TestChaosSoak' -v ./internal/session/
+
+# Decoder fuzzing, 10 s per target: the binary kvs.fence body
+# (FuzzFenceBody) and the in-place directory readers (FuzzDirLookup).
+# Minimising each new input is capped at 200 runs, so a large seed
+# (a 256-entry fence batch) cannot stall a target's time budget.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzFenceBody$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/kvs/
+	$(GO) test -run '^$$' -fuzz '^FuzzDirLookup$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/cas/
 
 # Durability gate: the WAL truncation sweep, the restart protocol tests,
 # and the seeded crash-restart soak (kill/crash/restart of ranks and

@@ -120,3 +120,64 @@ func decodeGetResp(m *wire.Message) (body getResp, err error) {
 	body.Val, body.Dir = j.Val, j.Dir
 	return body, nil
 }
+
+// bin lays a fence batch out as name, nprocs, the entries (each an ID
+// and its ops, each op key, ref and a delete flag), then the objects.
+// The objects are the bulk of an aggregated batch; binary carries them
+// as raw bytes where JSON would base64 them at every tree level.
+func (b fenceBody) bin() wire.RawBody {
+	n := len(b.Name) + 16
+	for _, e := range b.Entries {
+		n += len(e.ID) + 4
+		for _, op := range e.Ops {
+			n += len(op.Key) + len(op.Ref) + 3
+		}
+	}
+	for k, v := range b.Objects {
+		n += len(k) + len(v) + 8
+	}
+	w := wire.NewBinWriter(n)
+	w.String(b.Name)
+	w.Uint(uint64(b.NProcs))
+	w.Uint(uint64(len(b.Entries)))
+	for _, e := range b.Entries {
+		w.String(e.ID)
+		w.Uint(uint64(len(e.Ops)))
+		for _, op := range e.Ops {
+			w.String(op.Key)
+			w.String(op.Ref)
+			var del uint64
+			if op.Delete {
+				del = 1
+			}
+			w.Uint(del)
+		}
+	}
+	w.BytesMap(b.Objects)
+	return w.Finish()
+}
+
+func decodeFenceBody(m *wire.Message) (body fenceBody, err error) {
+	r, ok := wire.NewBinReader(m.Payload)
+	if !ok {
+		err = m.UnpackJSON(&body)
+		return body, err
+	}
+	body.Name = r.String()
+	body.NProcs = int(r.Uint())
+	if n := r.Count(); n > 0 {
+		body.Entries = make([]fenceEntry, n)
+		for i := range body.Entries {
+			e := &body.Entries[i]
+			e.ID = r.String()
+			if nops := r.Count(); nops > 0 {
+				e.Ops = make([]Op, nops)
+				for j := range e.Ops {
+					e.Ops[j] = Op{Key: r.String(), Ref: r.String(), Delete: r.Uint() != 0}
+				}
+			}
+		}
+	}
+	body.Objects = r.BytesMap()
+	return body, r.Err()
+}

@@ -3,8 +3,12 @@ package kvs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"fluxgo/internal/broker"
 	"fluxgo/internal/cas"
@@ -93,6 +97,152 @@ func TestBinBodyRoundTrip(t *testing.T) {
 	if _, err := decodePutBody(&wire.Message{Payload: trunc}); err == nil {
 		t.Fatal("truncated binary body decoded without error")
 	}
+
+	for _, fence := range fenceBodies() {
+		gotFence, err := decodeFenceBody(&wire.Message{Payload: fence.bin()})
+		if err != nil || !reflect.DeepEqual(gotFence, fence) {
+			t.Fatalf("fenceBody %q round trip: got %+v, %v; want %+v", fence.Name, gotFence, err, fence)
+		}
+		jm, err := wire.NewRequest("kvs.fence", wire.NodeidAny, fence)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotFence, err = decodeFenceBody(jm); err != nil || !reflect.DeepEqual(gotFence, fence) {
+			t.Fatalf("fenceBody %q JSON decode: got %+v, %v; want %+v", fence.Name, gotFence, err, fence)
+		}
+	}
+	// Counts beyond the bytes left fail before anything is sized by them.
+	for _, bomb := range [][]byte{
+		{wire.BinMagic, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f},          // 2^32-1 entries
+		{wire.BinMagic, 0, 1, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0}, // one entry, 2^32-1 ops
+	} {
+		if _, err := decodeFenceBody(&wire.Message{Payload: bomb}); err == nil {
+			t.Fatalf("fence body % x decoded without error", bomb)
+		}
+	}
+}
+
+// fenceBodies are the fence batches the round-trip test and the fuzz
+// seeds share: no entries, empty ops, delete ops, a nil object, object
+// data that starts with the binary magic byte, and 256 entries. Each is
+// in the form both decoders produce — nil, never empty, for absent
+// slices, maps and object bytes.
+func fenceBodies() []fenceBody {
+	v1 := cas.NewValue([]byte(`"one"`)).Encode()
+	magic := []byte{wire.BinMagic, 1, 2, 3}
+	ref := func(b []byte) string { return cas.HashOf(b).String() }
+	many := fenceBody{Name: "many", NProcs: 256}
+	for i := 0; i < 256; i++ {
+		many.Entries = append(many.Entries, fenceEntry{
+			ID:  fmt.Sprintf("many/p%d", i),
+			Ops: []Op{{Key: fmt.Sprintf("k.%d", i), Ref: ref(v1)}},
+		})
+	}
+	many.Objects = map[string][]byte{ref(v1): v1}
+	return []fenceBody{
+		{Name: "empty", NProcs: 1},
+		{Name: "one", NProcs: 1,
+			Entries: []fenceEntry{{ID: "one/p0", Ops: []Op{{Key: "a.b", Ref: ref(v1)}, {Key: "a.c", Delete: true}}}},
+			Objects: map[string][]byte{ref(v1): v1, ref(magic): magic}},
+		{Name: "noops", NProcs: 2,
+			Entries: []fenceEntry{{ID: "noops/p0"}, {ID: "noops/p1", Ops: []Op{{Key: "d", Delete: true}}}}},
+		{Name: "nilobj", NProcs: 1,
+			Entries: []fenceEntry{{ID: "nilobj/p0", Ops: []Op{{Key: "e", Ref: ref(nil)}}}},
+			Objects: map[string][]byte{ref(nil): nil}},
+		many,
+	}
+}
+
+// FuzzFenceBody holds decodeFenceBody to two rules on any input: it
+// never panics, and whatever it accepts, bin() then a decode yields the
+// same body as the JSON codec's round trip of it.
+func FuzzFenceBody(f *testing.F) {
+	for _, body := range fenceBodies() {
+		enc := []byte(body.bin())
+		f.Add(enc)
+		for _, n := range []int{1, 2, len(enc) / 2, len(enc) - 1} {
+			f.Add(enc[:n])
+		}
+		for _, i := range []int{1, 2, len(enc) / 3, len(enc) - 1} {
+			flipped := append([]byte(nil), enc...)
+			flipped[i] ^= 0x80
+			f.Add(flipped)
+		}
+		js, err := json.Marshal(body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(js)
+	}
+	f.Fuzz(checkFenceBody)
+}
+
+func checkFenceBody(t *testing.T, data []byte) {
+	body, err := decodeFenceBody(&wire.Message{Topic: "kvs.fence", Payload: data})
+	if err != nil {
+		return
+	}
+	viaBin, err := decodeFenceBody(&wire.Message{Topic: "kvs.fence", Payload: body.bin()})
+	if err != nil {
+		t.Fatalf("decode of bin() of an accepted body: %v", err)
+	}
+	if !jsonCarries(body) {
+		// JSON replaces invalid UTF-8 with U+FFFD, so such a body has no
+		// JSON round trip to compare with; binary must still keep it.
+		if !reflect.DeepEqual(canonFence(viaBin), canonFence(body)) {
+			t.Fatalf("binary round trip changed the body:\n got %+v\nwant %+v", viaBin, body)
+		}
+		return
+	}
+	jm, err := wire.NewRequest("kvs.fence", wire.NodeidAny, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaJSON, err := decodeFenceBody(jm)
+	if err != nil {
+		t.Fatalf("JSON round trip of an accepted body: %v", err)
+	}
+	if !reflect.DeepEqual(canonFence(viaBin), canonFence(viaJSON)) {
+		t.Fatalf("binary and JSON round trips differ:\nbinary %+v\n  json %+v", viaBin, viaJSON)
+	}
+}
+
+// canonFence maps empty slices, maps and object bytes to nil: the two
+// codecs agree on a body's content, not on nil versus empty.
+func canonFence(b fenceBody) fenceBody {
+	out := fenceBody{Name: b.Name, NProcs: b.NProcs}
+	for _, e := range b.Entries {
+		c := fenceEntry{ID: e.ID}
+		if len(e.Ops) > 0 {
+			c.Ops = e.Ops
+		}
+		out.Entries = append(out.Entries, c)
+	}
+	for k, v := range b.Objects {
+		if out.Objects == nil {
+			out.Objects = map[string][]byte{}
+		}
+		if len(v) == 0 {
+			v = nil
+		}
+		out.Objects[k] = v
+	}
+	return out
+}
+
+// jsonCarries reports whether every string in b is valid UTF-8.
+func jsonCarries(b fenceBody) bool {
+	ok := utf8.ValidString(b.Name)
+	for _, e := range b.Entries {
+		ok = ok && utf8.ValidString(e.ID)
+		for _, op := range e.Ops {
+			ok = ok && utf8.ValidString(op.Key) && utf8.ValidString(op.Ref)
+		}
+	}
+	for k := range b.Objects {
+		ok = ok && utf8.ValidString(k)
+	}
+	return ok
 }
 
 // binKVSSession is newKVSSession with binary bodies negotiated on.
@@ -192,6 +342,36 @@ func TestBinaryBodiesCrossVersionLinks(t *testing.T) {
 	}
 
 	t.Run("get", crossVersionGet)
+	t.Run("fence", crossVersionFence)
+}
+
+// dialExternal attaches a JSON-only external caller to rank's broker:
+// internal/client over a real socket, speaking what cmd/flux speaks.
+func dialExternal(t *testing.T, s *session.Session, rank int) *extclient.Client {
+	t.Helper()
+	key := []byte("cross-version")
+	ln, err := transport.Listen("127.0.0.1:0", key, fmt.Sprintf("rank:%d", rank))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err == nil {
+			s.Broker(rank).AttachConn(broker.LinkClient, conn)
+		}
+		accepted <- err
+	}()
+	ext, err := extclient.Dial(ln.Addr().String(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ext.Close() })
+	if err := <-accepted; err != nil {
+		t.Fatal(err)
+	}
+	return ext
 }
 
 // crossVersionGet covers the kvs.get pair on mixed links: a binary leaf
@@ -247,28 +427,7 @@ func crossVersionGet(t *testing.T) {
 
 	// The external caller: JSON request in, JSON response out, from a
 	// broker (rank 4, binary) whose own traffic is binary.
-	key := []byte("cross-version")
-	ln, err := transport.Listen("127.0.0.1:0", key, "rank:4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err == nil {
-			s.Broker(4).AttachConn(broker.LinkClient, conn)
-		}
-		accepted <- err
-	}()
-	ext, err := extclient.Dial(ln.Addr().String(), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ext.Close()
-	if err := <-accepted; err != nil {
-		t.Fatal(err)
-	}
+	ext := dialExternal(t, s, 4)
 	if _, err := ext.RPC("kvs.sync", wire.NodeidAny, map[string]uint64{"version": ver}); err != nil {
 		t.Fatal(err)
 	}
@@ -297,5 +456,117 @@ func crossVersionGet(t *testing.T) {
 	}
 	if _, err := ext.RPC("kvs.get", wire.NodeidAny, map[string]string{"key": "x.none"}); !ErrNotFound(err) {
 		t.Fatalf("external get of a missing key: %v, want ENOENT", err)
+	}
+}
+
+// crossVersionFence covers kvs.fence on mixed links: one fence whose
+// participants are binary leaves under a JSON-only interior rank and a
+// binary rank beside it, so batches reach the JSON rank binary, leave it
+// JSON, and meet a binary batch at the root. Then an external JSON
+// caller fences and commits against a binary broker, the way cmd/flux
+// does, and must get JSON back.
+func crossVersionFence(t *testing.T) {
+	s := binKVSSession(t, 7, 2)
+	s.Broker(1).SetBinaryBodies(false) // interior: parent of ranks 3 and 4
+	for _, r := range []int{0, 2, 3, 4} {
+		if !s.Broker(r).BinaryBodies() {
+			t.Fatalf("rank %d is not on binary bodies", r)
+		}
+	}
+
+	w := client(t, s, 0)
+	if err := w.Put("xf.gone", "soon"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ranks := []int{3, 4, 2} // two binary leaves under the JSON rank, one binary sibling
+	shared := strings.Repeat("s", 4096)
+	vers := make([]uint64, len(ranks))
+	errs := make([]error, len(ranks))
+	var wg sync.WaitGroup
+	for i, rank := range ranks {
+		c := client(t, s, rank)
+		if err := c.Put(fmt.Sprintf("xf.p%d", i), strings.Repeat(string(rune('a'+i)), 4096)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Put("xf.shared", shared); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if err := c.Delete("xf.gone"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			vers[i], errs[i] = c.Fence("xfence", len(ranks))
+		}(i)
+	}
+	wg.Wait()
+	for i := range ranks {
+		if errs[i] != nil || vers[i] != vers[0] {
+			t.Fatalf("participant at rank %d: v%d, %v (rank %d got v%d)", ranks[i], vers[i], errs[i], ranks[0], vers[0])
+		}
+	}
+	for _, rank := range []int{1, 6} { // the JSON rank, and a binary leaf no participant sits under
+		c := client(t, s, rank)
+		if err := c.WaitVersion(vers[0]); err != nil {
+			t.Fatal(err)
+		}
+		for i := range ranks {
+			var v string
+			if err := c.Get(fmt.Sprintf("xf.p%d", i), &v); err != nil || v != strings.Repeat(string(rune('a'+i)), 4096) {
+				t.Fatalf("rank %d: xf.p%d = %.8q..., %v", rank, i, v, err)
+			}
+		}
+		var v string
+		if err := c.Get("xf.shared", &v); err != nil || v != shared {
+			t.Fatalf("rank %d: xf.shared = %.8q..., %v", rank, v, err)
+		}
+		if err := c.Get("xf.gone", nil); !ErrNotFound(err) {
+			t.Fatalf("rank %d: deleted xf.gone: %v, want ENOENT", rank, err)
+		}
+	}
+
+	ext := dialExternal(t, s, 4)
+	ver := vers[0]
+	for _, method := range []string{"fence", "commit"} {
+		key := "xf.ext." + method
+		data := cas.NewValue([]byte(`"` + method + `"`)).Encode()
+		ref := cas.HashOf(data).String()
+		if _, err := ext.RPC("kvs.put", wire.NodeidAny, map[string]any{"key": key, "ref": ref, "data": data}); err != nil {
+			t.Fatal(err)
+		}
+		name := "xf-ext-" + method
+		resp, err := ext.RPC("kvs."+method, wire.NodeidAny, map[string]any{
+			"name":   name,
+			"nprocs": 1,
+			"entries": []map[string]any{{
+				"id":  name + "/cli",
+				"ops": []map[string]any{{"key": key, "ref": ref}},
+			}},
+		})
+		if err != nil {
+			t.Fatalf("external kvs.%s: %v", method, err)
+		}
+		if wire.IsBinaryBody(resp.Payload) {
+			t.Fatalf("JSON kvs.%s was answered with a binary body", method)
+		}
+		var root rootBody
+		if err := resp.UnpackJSON(&root); err != nil || root.Version != ver+1 {
+			t.Fatalf("external kvs.%s = %+v, %v; want version %d", method, root, err, ver+1)
+		}
+		ver = root.Version
+		c := client(t, s, 5)
+		if err := c.WaitVersion(ver); err != nil {
+			t.Fatal(err)
+		}
+		var v string
+		if err := c.Get(key, &v); err != nil || v != method {
+			t.Fatalf("%s = %q, %v; want %q", key, v, err, method)
+		}
 	}
 }

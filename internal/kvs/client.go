@@ -152,25 +152,29 @@ func (c *Client) fence(name string, nprocs int, ops []Op) (uint64, error) {
 	// retried request — after a timeout or a route failure mid-fence —
 	// is deduplicated at every aggregation level and can never double
 	// count this participant or re-apply its ops.
-	entry := fenceEntry{ID: name + "/" + c.h.ID(), Ops: ops}
-	resp, err := c.h.RPCWithOptions(context.Background(), c.topic("fence"), wire.NodeidAny, fenceBody{
+	body := fenceBody{
 		Name:    name,
 		NProcs:  nprocs,
-		Entries: []fenceEntry{entry},
-	}, fenceOpts)
+		Entries: []fenceEntry{{ID: name + "/" + c.h.ID(), Ops: ops}},
+	}
+	var req any = body
+	if c.h.BinaryBodies() {
+		req = body.bin()
+	}
+	resp, err := c.h.RPCWithOptions(context.Background(), c.topic("fence"), wire.NodeidAny, req, fenceOpts)
 	if err != nil {
 		c.restorePending(ops)
 		return 0, err
 	}
-	var body rootBody
-	if err := resp.UnpackJSON(&body); err != nil {
+	var root rootBody
+	if err := resp.UnpackJSON(&root); err != nil {
 		return 0, err
 	}
 	// Apply the new root locally before returning (read-your-writes).
-	if err := c.WaitVersion(body.Version); err != nil {
+	if err := c.WaitVersion(root.Version); err != nil {
 		return 0, err
 	}
-	return body.Version, nil
+	return root.Version, nil
 }
 
 // ErrNotFound reports whether err is a no-such-key KVS error.

@@ -3,59 +3,75 @@ package kvs
 import (
 	"testing"
 
+	"fluxgo/internal/broker"
+	"fluxgo/internal/cas"
 	"fluxgo/internal/wire"
 )
+
+// fenceEncodings are the two forms a fence batch travels in; every
+// fence-protocol test runs on both.
+var fenceEncodings = []struct {
+	name string
+	of   func(fenceBody) any
+}{
+	{"json", func(b fenceBody) any { return b }},
+	{"binary", func(b fenceBody) any { return b.bin() }},
+}
 
 // TestFenceEntryDedup: retransmitted fence batches (what an RPC retry or
 // a fault-duplicated link delivery produces) must not inflate the
 // participant count or re-apply ops.
 func TestFenceEntryDedup(t *testing.T) {
-	s := newKVSSession(t, 1, 2)
-	c := client(t, s, 0)
-	h := c.Handle()
+	for _, enc := range fenceEncodings {
+		t.Run(enc.name, func(t *testing.T) {
+			s := newKVSSession(t, 1, 2)
+			c := client(t, s, 0)
+			h := c.Handle()
 
-	if err := c.Put("dedup.key", 1); err != nil {
-		t.Fatal(err)
-	}
-	ops := c.takePending()
-	body := fenceBody{
-		Name:    "dedupfence",
-		NProcs:  2,
-		Entries: []fenceEntry{{ID: "dedupfence/p0", Ops: ops}},
-	}
+			if err := c.Put("dedup.key", 1); err != nil {
+				t.Fatal(err)
+			}
+			ops := c.takePending()
+			body := fenceBody{
+				Name:    "dedupfence",
+				NProcs:  2,
+				Entries: []fenceEntry{{ID: "dedupfence/p0", Ops: ops}},
+			}
 
-	// The same entry delivered three times counts one participant: the
-	// fence must stay incomplete (the RPCs park as pending requests, so
-	// probe via fire-and-forget sends and the version counter).
-	for i := 0; i < 3; i++ {
-		if err := h.Send("kvs.fence", wire.NodeidAny, body); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if v, err := c.GetVersion(); err != nil || v != 0 {
-		t.Fatalf("version = %d (err %v) after duplicate entries, want 0", v, err)
-	}
+			// The same entry delivered three times counts one participant: the
+			// fence must stay incomplete (the RPCs park as pending requests, so
+			// probe via fire-and-forget sends and the version counter).
+			for i := 0; i < 3; i++ {
+				if err := h.Send("kvs.fence", wire.NodeidAny, enc.of(body)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if v, err := c.GetVersion(); err != nil || v != 0 {
+				t.Fatalf("version = %d (err %v) after duplicate entries, want 0", v, err)
+			}
 
-	// A distinct second participant completes the fence exactly once.
-	done := fenceBody{
-		Name:    "dedupfence",
-		NProcs:  2,
-		Entries: []fenceEntry{{ID: "dedupfence/p1"}},
-	}
-	resp, err := h.RPC("kvs.fence", wire.NodeidAny, done)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var root rootBody
-	if err := resp.UnpackJSON(&root); err != nil {
-		t.Fatal(err)
-	}
-	if root.Version != 1 {
-		t.Fatalf("fence completed at version %d, want 1", root.Version)
-	}
-	var got int
-	if err := c.Get("dedup.key", &got); err != nil || got != 1 {
-		t.Fatalf("dedup.key = %d (err %v), want 1", got, err)
+			// A distinct second participant completes the fence exactly once.
+			done := fenceBody{
+				Name:    "dedupfence",
+				NProcs:  2,
+				Entries: []fenceEntry{{ID: "dedupfence/p1"}},
+			}
+			resp, err := h.RPC("kvs.fence", wire.NodeidAny, enc.of(done))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var root rootBody
+			if err := resp.UnpackJSON(&root); err != nil {
+				t.Fatal(err)
+			}
+			if root.Version != 1 {
+				t.Fatalf("fence completed at version %d, want 1", root.Version)
+			}
+			var got int
+			if err := c.Get("dedup.key", &got); err != nil || got != 1 {
+				t.Fatalf("dedup.key = %d (err %v), want 1", got, err)
+			}
+		})
 	}
 }
 
@@ -64,40 +80,99 @@ func TestFenceEntryDedup(t *testing.T) {
 // original result — it must not seed a phantom fence or advance the
 // version again.
 func TestFenceReplyCache(t *testing.T) {
-	s := newKVSSession(t, 1, 2)
-	c := client(t, s, 0)
-	h := c.Handle()
+	for _, enc := range fenceEncodings {
+		t.Run(enc.name, func(t *testing.T) {
+			s := newKVSSession(t, 1, 2)
+			c := client(t, s, 0)
+			h := c.Handle()
 
-	if err := c.Put("cached.key", "v"); err != nil {
-		t.Fatal(err)
-	}
-	body := fenceBody{
-		Name:    "cachedfence",
-		NProcs:  1,
-		Entries: []fenceEntry{{ID: "cachedfence/p0", Ops: c.takePending()}},
-	}
-	first, err := h.RPC("kvs.fence", wire.NodeidAny, body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r1 rootBody
-	if err := first.UnpackJSON(&r1); err != nil {
-		t.Fatal(err)
-	}
+			if err := c.Put("cached.key", "v"); err != nil {
+				t.Fatal(err)
+			}
+			body := fenceBody{
+				Name:    "cachedfence",
+				NProcs:  1,
+				Entries: []fenceEntry{{ID: "cachedfence/p0", Ops: c.takePending()}},
+			}
+			first, err := h.RPC("kvs.fence", wire.NodeidAny, enc.of(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var r1 rootBody
+			if err := first.UnpackJSON(&r1); err != nil {
+				t.Fatal(err)
+			}
 
-	// Retry of the identical batch after completion.
-	second, err := h.RPC("kvs.fence", wire.NodeidAny, body)
-	if err != nil {
-		t.Fatal(err)
+			// Retry of the identical batch after completion.
+			second, err := h.RPC("kvs.fence", wire.NodeidAny, enc.of(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var r2 rootBody
+			if err := second.UnpackJSON(&r2); err != nil {
+				t.Fatal(err)
+			}
+			if r2 != r1 {
+				t.Fatalf("replayed fence answered %+v, want cached %+v", r2, r1)
+			}
+			if v, _ := c.GetVersion(); v != r1.Version {
+				t.Fatalf("version advanced to %d by replayed fence", v)
+			}
+		})
 	}
-	var r2 rootBody
-	if err := second.UnpackJSON(&r2); err != nil {
-		t.Fatal(err)
-	}
-	if r2 != r1 {
-		t.Fatalf("replayed fence answered %+v, want cached %+v", r2, r1)
-	}
-	if v, _ := c.GetVersion(); v != r1.Version {
-		t.Fatalf("version advanced to %d by replayed fence", v)
+}
+
+// TestFenceObjectHashMismatch: a batch whose object does not hash to
+// the reference it travels under fails the whole fence with EPROTO and
+// leaves the root alone, and the failure is cached like any other — a
+// retry of the same name, even one carrying the right object, gets the
+// same answer. Both body encodings, entered at the master and at a
+// slave (which forwards objects unchecked; the master is the check).
+func TestFenceObjectHashMismatch(t *testing.T) {
+	s := newKVSSession(t, 3, 2)
+	good := cas.NewValue([]byte(`"good"`)).Encode()
+	evil := cas.NewValue([]byte(`"evil"`)).Encode()
+	ref := cas.HashOf(good).String()
+	for _, at := range []struct {
+		where string
+		rank  int
+	}{{"master", 0}, {"slave", 2}} {
+		for _, enc := range fenceEncodings {
+			name := at.where + "-" + enc.name
+			t.Run(name, func(t *testing.T) {
+				c := client(t, s, at.rank)
+				h := c.Handle()
+				before, err := c.GetVersion()
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch := func(data []byte) any {
+					body := fenceBody{
+						Name:    "badobj." + name,
+						NProcs:  1,
+						Entries: []fenceEntry{{ID: "badobj." + name + "/p0", Ops: []Op{{Key: "bad." + name, Ref: ref}}}},
+						Objects: map[string][]byte{ref: data},
+					}
+					return enc.of(body)
+				}
+				_, err = h.RPC("kvs.fence", wire.NodeidAny, batch(evil))
+				if !wire.IsErrnum(err, broker.ErrnoProto) {
+					t.Fatalf("fence with a corrupt object: %v, want EPROTO", err)
+				}
+				if v, err := c.GetVersion(); err != nil || v != before {
+					t.Fatalf("version = %d (err %v) after the failed fence, want %d", v, err, before)
+				}
+				_, retryErr := h.RPC("kvs.fence", wire.NodeidAny, batch(good))
+				if !wire.IsErrnum(retryErr, broker.ErrnoProto) || retryErr.Error() != err.Error() {
+					t.Fatalf("retry of the failed fence: %v, want the cached %v", retryErr, err)
+				}
+				if v, err := c.GetVersion(); err != nil || v != before {
+					t.Fatalf("version = %d (err %v) after the retry, want %d", v, err, before)
+				}
+				if _, err := c.GetRef("bad." + name); !ErrNotFound(err) {
+					t.Fatalf("key of the failed fence: %v, want ENOENT", err)
+				}
+			})
+		}
 	}
 }

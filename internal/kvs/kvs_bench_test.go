@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fluxgo/internal/cas"
+	"fluxgo/internal/wire"
 )
 
 // BenchmarkPut measures write-back puts at a leaf slave.
@@ -79,6 +80,49 @@ func BenchmarkApplyOps(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := ApplyOps(store, cas.Ref{}, ops, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFenceBodyCodec measures one tree level's body cost for a
+// kap_bulk fence batch — 64 entries, each binding one key to its own
+// 32 KiB object — encoded into a request and decoded again, in each of
+// the two body encodings.
+func BenchmarkFenceBodyCodec(b *testing.B) {
+	const nobj, vsize = 64, 32 << 10
+	body := fenceBody{Name: "bench", NProcs: nobj, Objects: map[string][]byte{}}
+	for i := 0; i < nobj; i++ {
+		val := make([]byte, vsize)
+		for j := range val {
+			val[j] = byte(i + j)
+		}
+		data := cas.NewValue(val).Encode()
+		ref := cas.HashOf(data).String()
+		body.Objects[ref] = data
+		body.Entries = append(body.Entries, fenceEntry{
+			ID:  fmt.Sprintf("bench/p%d", i),
+			Ops: []Op{{Key: fmt.Sprintf("kap.k%d", i), Ref: ref}},
+		})
+	}
+	for _, codec := range []struct {
+		name string
+		req  func() any
+	}{
+		{"json", func() any { return body }},
+		{"binary", func() any { return body.bin() }},
+	} {
+		b.Run(codec.name, func(b *testing.B) {
+			b.SetBytes(nobj * vsize)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				msg, err := wire.NewRequest("kvs.fence", wire.NodeidAny, codec.req())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := decodeFenceBody(msg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -120,6 +120,7 @@ type fenceState struct {
 // never complete — or worse, re-applying ops.
 type doneFence struct {
 	resp   rootBody
+	errnum int32  // the failure's errno, answered again to retries
 	errmsg string // nonempty if the fence failed to apply
 }
 
@@ -475,8 +476,8 @@ func (m *Module) recvPut(msg *wire.Message) {
 // content hash, so redundant values reduce up the tree while (key, ref)
 // tuples concatenate — the asymmetry behind Fig. 3.
 func (m *Module) recvFence(msg *wire.Message) {
-	var body fenceBody
-	if err := msg.UnpackJSON(&body); err != nil {
+	body, err := decodeFenceBody(msg)
+	if err != nil {
 		m.h.RespondError(msg, broker.ErrnoInval, err.Error())
 		return
 	}
@@ -488,7 +489,7 @@ func (m *Module) recvFence(msg *wire.Message) {
 		// from the reply cache rather than seeding a phantom fence.
 		if done, ok := m.doneFences[body.Name]; ok {
 			if done.errmsg != "" {
-				m.h.RespondError(msg, broker.ErrnoInval, done.errmsg)
+				m.h.RespondError(msg, done.errnum, done.errmsg)
 			} else {
 				m.h.Respond(msg, done.resp)
 			}
@@ -555,10 +556,9 @@ func (m *Module) maybeCompleteFence(name string, st *fenceState) {
 	if len(st.entries) < st.nprocs {
 		return
 	}
-	// Make sure every flushed object is present and pinned (client
-	// entries at rank 0 reference the local store directly).
-	for _, data := range st.objects {
-		m.store.Pin(m.store.PutRaw(data))
+	if err := m.storeFenceObjects(st.objects); err != nil {
+		m.failFence(name, st, broker.ErrnoProto, err.Error())
+		return
 	}
 	var ops []Op
 	for _, e := range st.entries {
@@ -566,11 +566,7 @@ func (m *Module) maybeCompleteFence(name string, st *fenceState) {
 	}
 	newRoot, err := ApplyOps(m.store, m.root, ops, true)
 	if err != nil {
-		for _, req := range st.pending {
-			m.h.RespondError(req, broker.ErrnoInval, err.Error())
-		}
-		m.recordDone(name, doneFence{errmsg: err.Error()})
-		delete(m.fences, name)
+		m.failFence(name, st, broker.ErrnoInval, err.Error())
 		return
 	}
 	if m.disk != nil {
@@ -609,6 +605,51 @@ func (m *Module) maybeCompleteFence(name string, st *fenceState) {
 	delete(m.fences, name)
 	m.serveSyncs()
 	m.maybeCheckpoint()
+}
+
+// storeFenceObjects (master only) makes every flushed object present and
+// pinned. An object already in the store — a local client's put, hashed
+// in recvPut, or content an earlier fence brought — is only pinned; any
+// other is hashed once and must match the reference it travelled under,
+// or the whole fence fails before anything is stored: a mismatch would
+// otherwise commit a root whose ref dangles.
+func (m *Module) storeFenceObjects(objects map[string][]byte) error {
+	type object struct {
+		ref   cas.Ref
+		data  []byte
+		fresh bool // not yet in the store
+	}
+	verified := make([]object, 0, len(objects))
+	for refHex, data := range objects {
+		ref, err := cas.ParseRef(refHex)
+		if err != nil {
+			return fmt.Errorf("kvs: fence object %q: %w", refHex, err)
+		}
+		fresh := !m.store.Has(ref)
+		if fresh && cas.HashOf(data) != ref {
+			return fmt.Errorf("kvs: fence object %s does not match its data hash", ref.Short())
+		}
+		verified = append(verified, object{ref, data, fresh})
+	}
+	for _, o := range verified {
+		if o.fresh {
+			m.store.PutHashed(o.ref, o.data)
+		}
+		m.store.Pin(o.ref)
+	}
+	return nil
+}
+
+// failFence (master only) answers every held batch of a fence that
+// cannot apply with errnum, and caches the failure so a retried batch
+// gets the same answer instead of seeding the fence afresh. The root is
+// unchanged.
+func (m *Module) failFence(name string, st *fenceState, errnum int32, errmsg string) {
+	for _, req := range st.pending {
+		m.h.RespondError(req, errnum, errmsg)
+	}
+	m.recordDone(name, doneFence{errnum: errnum, errmsg: errmsg})
+	delete(m.fences, name)
 }
 
 // maybeCheckpoint folds the WAL into a pack every CheckpointEvery
@@ -680,7 +721,11 @@ func (m *Module) Idle() {
 // upstream makes retransmission safe, and a retry issued after
 // re-parenting travels the adoptive parent path.
 func (m *Module) sendFenceBatch(batch fenceBody) {
-	resp, err := m.h.RPCWithOptions(context.Background(), m.cfg.Service+".fence", m.upstreamTarget(), batch,
+	var req any = batch
+	if m.h.BinaryBodies() {
+		req = batch.bin()
+	}
+	resp, err := m.h.RPCWithOptions(context.Background(), m.cfg.Service+".fence", m.upstreamTarget(), req,
 		broker.RPCOptions{Retries: 6, Backoff: 25 * time.Millisecond})
 	done := rootBody{}
 	status := ""

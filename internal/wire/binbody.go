@@ -9,8 +9,9 @@ import (
 // Binary body codec (codec v3 payloads).
 //
 // JSON request/response bodies dominate the cost of the hot services
-// (kvs.put/load, barrier.enter, cmb.pub): reflection-driven marshal on
-// the way in, map allocation and base64 payload decode on the way out.
+// (kvs.put/load/get/fence, barrier.enter, cmb.pub): reflection-driven
+// marshal on the way in, map allocation and base64 payload decode on
+// the way out.
 // This codec replaces the *body* encoding only — the frame header and
 // framing stay byte-identical to wire v2/v3, so golden-frame
 // compatibility is untouched and every other service keeps JSON.
@@ -166,18 +167,30 @@ func (r *BinReader) Fixed(dst []byte) {
 // Uint reads a uvarint field.
 func (r *BinReader) Uint() uint64 { return r.uvarint() }
 
+// Count reads the element count of a count-prefixed sequence. Every
+// element takes at least one byte, so a count beyond the bytes left is
+// a decode error — caught here, before the caller sizes an allocation
+// by it.
+func (r *BinReader) Count() int {
+	n := r.uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if n > uint64(len(r.data)) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
+
 // StringSlice reads a count-prefixed sequence of string fields.
 func (r *BinReader) StringSlice() []string {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(r.data)) { // each element needs >= 1 byte
-		r.fail()
+	n := r.Count()
+	if n == 0 {
 		return nil
 	}
 	ss := make([]string, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		ss = append(ss, r.String())
 	}
 	return ss
@@ -185,16 +198,12 @@ func (r *BinReader) StringSlice() []string {
 
 // BytesMap reads a count-prefixed sequence of key/value fields.
 func (r *BinReader) BytesMap() map[string][]byte {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(r.data)) {
-		r.fail()
+	n := r.Count()
+	if n == 0 {
 		return nil
 	}
 	m := make(map[string][]byte, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		k := r.String()
 		m[k] = r.Bytes()
 	}
