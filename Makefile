@@ -22,8 +22,14 @@ BENCH_PKGS = ./internal/wire/ ./internal/broker/ ./internal/kvs/ ./internal/cas/
 build:
 	$(GO) build ./...
 
+# go vet, then a gofmt gate: every tracked .go file outside testdata/
+# must be gofmt-clean (fluxlint's fixtures under testdata/ are inputs,
+# not code, and keep their hand layout).
 vet:
 	$(GO) vet ./...
+	@files=$$(git ls-files '*.go' | grep -Ev '(^|/)testdata/') && \
+	unformatted=$$(gofmt -l $$files) && \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # Static analysis: ten passes over the module, zero findings required.
 # -stats prints per-pass kept/suppressed counts; CI runs this target

@@ -34,7 +34,7 @@ import (
 
 // delta is one compared metric.
 type delta struct {
-	Metric string  // e.g. "internal/wire BenchmarkMarshal min_ns_per_op"
+	Metric string // e.g. "internal/wire BenchmarkMarshal min_ns_per_op"
 	Old    float64
 	New    float64
 }

@@ -33,8 +33,8 @@ type sample struct {
 
 // result groups the samples of one benchmark in one package.
 type result struct {
-	Pkg       string   `json:"pkg,omitempty"`
-	Name      string   `json:"name"`
+	Pkg      string   `json:"pkg,omitempty"`
+	Name     string   `json:"name"`
 	Samples  []sample `json:"samples"`
 	MinNsOp  float64  `json:"min_ns_per_op"`
 	MinBOp   int64    `json:"min_bytes_per_op,omitempty"`

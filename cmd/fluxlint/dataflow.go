@@ -19,10 +19,10 @@ const (
 // analysis describes one dataflow problem over facts of type F.
 type analysis[F any] struct {
 	dir      direction
-	boundary func() F             // fact entering the graph
-	bottom   func() F             // identity element for join
-	join     func(dst, src F) F   // least upper bound; may mutate dst
-	equal    func(a, b F) bool    // fixpoint test
+	boundary func() F           // fact entering the graph
+	bottom   func() F           // identity element for join
+	join     func(dst, src F) F // least upper bound; may mutate dst
+	equal    func(a, b F) bool  // fixpoint test
 	transfer func(b *block, in F) F
 }
 

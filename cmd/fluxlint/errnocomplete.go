@@ -194,8 +194,8 @@ func (c *completeChecker) isMethodDispatch(sw *ast.SwitchStmt) bool {
 // clauseInfo is one case clause's folded methods and emitted errnos.
 type clauseInfo struct {
 	clause    *ast.CaseClause
-	methods   []string            // constant-folded case strings
-	allConst  bool                // every case expression folded
+	methods   []string // constant-folded case strings
+	allConst  bool     // every case expression folded
 	isDefault bool
 	emitted   map[int64]token.Pos // errno value -> first emission site
 	via       map[int64]string    // errno value -> provenance

@@ -234,12 +234,13 @@ type Config struct {
 	// DefaultSyncInterval; negative disables the periodic pull (the
 	// gap- and epoch-triggered syncs remain).
 	SyncInterval time.Duration
-	// Shards is the number of route-dispatch shards (and module-mailbox
-	// lanes). Messages are partitioned by flow — arrival link plus match
-	// tag — so independent RPC flows route concurrently while each flow
-	// stays FIFO; events, controls, and link teardown always serialize
-	// on shard 0. 0 defaults to min(GOMAXPROCS, 8); 1 restores the fully
-	// serialized single-loop dispatch.
+	// Shards is the number of route-dispatch shards. Messages are
+	// partitioned by flow — arrival link plus match tag — so independent
+	// RPC flows route concurrently while each flow stays FIFO; events,
+	// controls, and link teardown always serialize on shard 0. Each
+	// module still has one inbox FIFO whatever the shard count. 0
+	// defaults to min(GOMAXPROCS, 8); 1 restores the fully serialized
+	// single-loop dispatch.
 	Shards int
 }
 
@@ -287,13 +288,13 @@ type counters struct {
 	// replays). reuse/encodes is the marshals-saved ratio.
 	eventsFanoutEncodes *obs.Counter
 	eventsFanoutReuse   *obs.Counter
-	reparents        *obs.Counter
-	sendErrors       *obs.Counter
-	inflightFailed   *obs.Counter
-	joins            *obs.Counter
-	leaves           *obs.Counter
-	drains           *obs.Counter
-	epochRejects     *obs.Counter
+	reparents           *obs.Counter
+	sendErrors          *obs.Counter
+	inflightFailed      *obs.Counter
+	joins               *obs.Counter
+	leaves              *obs.Counter
+	drains              *obs.Counter
+	epochRejects        *obs.Counter
 
 	// Silent-drop observability: each logf-only drop path also counts,
 	// mirroring the epoch-discipline rule for fenced messages.
@@ -687,13 +688,13 @@ func New(cfg Config) (*Broker, error) {
 
 		eventsFanoutEncodes: reg.Counter(wire.MetricEventsFanoutEncodes),
 		eventsFanoutReuse:   reg.Counter(wire.MetricEventsFanoutReuse),
-		reparents:        reg.Counter(wire.MetricReparents),
-		sendErrors:       reg.Counter(wire.MetricSendErrors),
-		inflightFailed:   reg.Counter(wire.MetricInflightFailed),
-		joins:            reg.Counter(wire.MetricJoins),
-		leaves:           reg.Counter(wire.MetricLeaves),
-		drains:           reg.Counter(wire.MetricDrains),
-		epochRejects:     reg.Counter(wire.MetricEpochRejects),
+		reparents:           reg.Counter(wire.MetricReparents),
+		sendErrors:          reg.Counter(wire.MetricSendErrors),
+		inflightFailed:      reg.Counter(wire.MetricInflightFailed),
+		joins:               reg.Counter(wire.MetricJoins),
+		leaves:              reg.Counter(wire.MetricLeaves),
+		drains:              reg.Counter(wire.MetricDrains),
+		epochRejects:        reg.Counter(wire.MetricEpochRejects),
 
 		dropsUnknownType:    reg.Counter(wire.MetricDropsUnknownType),
 		dropsEmptyRoute:     reg.Counter(wire.MetricDropsEmptyRoute),
@@ -926,7 +927,6 @@ func (b *Broker) Stats() Stats {
 		EpochRejects:     b.ctr.epochRejects.Load(),
 	}
 }
-
 
 // AttachConn registers a transport connection as a link of the given
 // kind and starts its reader. Safe to call before or after Start.
@@ -1229,19 +1229,8 @@ func (b *Broker) dispatchLocal(m *wire.Message) bool {
 	if !ok {
 		return false
 	}
-	r.inbox.PushLane(b.laneFor(m), m)
+	r.inbox.Push(m)
 	return true
-}
-
-// laneFor maps a request onto its module-mailbox lane: the shard
-// routing its flow. Lanes keep a hot module's mailbox from serializing
-// every dispatch shard on one lock while preserving per-flow FIFO (one
-// flow, one shard, one lane).
-func (b *Broker) laneFor(m *wire.Message) int {
-	if len(m.Route) == 0 {
-		return 0
-	}
-	return b.shardOfFlow(m.Route[len(m.Route)-1], m.Seq)
 }
 
 // forwardUpstream sends m toward the root, or answers ENOSYS at the

@@ -354,9 +354,12 @@ func (b *Broker) applyEventLocked(ev *wire.Message) {
 
 	// Events are immutable once published: the same message value is
 	// shared by every local recipient and forwarded child, and the same
-	// encoded frame by every frame-capable child.
+	// encoded frame by every frame-capable child. Modules are fed before
+	// local handles: a request a handle sends after seeing ev then queues
+	// behind ev in the module's single inbox FIFO (event->request
+	// causality, DESIGN.md §14).
 	for _, r := range mods {
-		r.inbox.PushLane(0, ev)
+		r.inbox.Push(ev)
 	}
 	for _, l := range local {
 		b.send(l, ev)

@@ -1,9 +1,6 @@
 package broker
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Mailbox is an unbounded FIFO connecting producers to a single consumer
 // channel. Push never blocks, which is what lets broker loops, module
@@ -83,157 +80,5 @@ func (m *Mailbox[T]) pump() {
 		m.items = m.items[1:]
 		m.mu.Unlock()
 		m.out <- v
-	}
-}
-
-// ShardedMailbox is a Mailbox whose producer side is split across
-// independent lanes: each broker dispatch shard pushes into its own
-// lane, so a burst from one flow never contends with the others on a
-// single mutex. One pump goroutine round-robins the lanes into the
-// consumer channel, preserving per-lane FIFO (which, with flow-keyed
-// lane assignment, is exactly per-flow FIFO).
-type ShardedMailbox[T any] struct {
-	lanes []smLane[T]
-	// wakeMu guards the pump's sleep transition; producers only take it
-	// when the sleeping flag says the pump may be parked, so the steady
-	// state costs one atomic load per push.
-	wakeMu   sync.Mutex
-	cond     *sync.Cond
-	sleeping atomic.Bool
-	closed   atomic.Bool
-	out      chan T
-}
-
-type smLane[T any] struct {
-	mu    sync.Mutex
-	items []T
-	_     [40]byte // keep neighbouring lanes off one cache line
-}
-
-// NewShardedMailbox returns a running mailbox with the given number of
-// producer lanes (minimum 1).
-func NewShardedMailbox[T any](lanes int) *ShardedMailbox[T] {
-	if lanes < 1 {
-		lanes = 1
-	}
-	m := &ShardedMailbox[T]{lanes: make([]smLane[T], lanes), out: make(chan T)}
-	m.cond = sync.NewCond(&m.wakeMu)
-	go m.pump()
-	return m
-}
-
-// PushLane enqueues v on the given lane (modulo the lane count). It
-// reports false if the mailbox is closed.
-func (m *ShardedMailbox[T]) PushLane(lane int, v T) bool {
-	if m.closed.Load() {
-		return false
-	}
-	ln := &m.lanes[lane%len(m.lanes)]
-	ln.mu.Lock()
-	ln.items = append(ln.items, v)
-	ln.mu.Unlock()
-	// The pump sets sleeping *before* its final re-scan, so either it
-	// sees our item or we see the flag and wake it. A spurious Signal
-	// (pump woke meanwhile) is harmless.
-	if m.sleeping.Load() {
-		m.wakeMu.Lock()
-		m.cond.Signal()
-		m.wakeMu.Unlock()
-	}
-	return true
-}
-
-// Push enqueues v on lane 0, for producers with no flow identity.
-func (m *ShardedMailbox[T]) Push(v T) bool { return m.PushLane(0, v) }
-
-// Out returns the consumer channel. It is closed after Close once all
-// pending items have been delivered.
-func (m *ShardedMailbox[T]) Out() <-chan T { return m.out }
-
-// Close stops accepting new items; already-queued items still drain.
-func (m *ShardedMailbox[T]) Close() {
-	m.closed.Store(true)
-	m.wakeMu.Lock()
-	m.cond.Broadcast()
-	m.wakeMu.Unlock()
-}
-
-// CloseNow stops accepting new items and discards anything queued.
-func (m *ShardedMailbox[T]) CloseNow() {
-	m.closed.Store(true)
-	for i := range m.lanes {
-		ln := &m.lanes[i]
-		ln.mu.Lock()
-		ln.items = nil
-		ln.mu.Unlock()
-	}
-	m.wakeMu.Lock()
-	m.cond.Broadcast()
-	m.wakeMu.Unlock()
-}
-
-// Len returns the number of queued (undelivered) items across all lanes.
-func (m *ShardedMailbox[T]) Len() int {
-	n := 0
-	for i := range m.lanes {
-		ln := &m.lanes[i]
-		ln.mu.Lock()
-		n += len(ln.items)
-		ln.mu.Unlock()
-	}
-	return n
-}
-
-// take pops the next item, scanning lanes round-robin from *next. It
-// reports false when every lane is empty.
-func (m *ShardedMailbox[T]) take(next *int) (T, bool) {
-	var zero T
-	n := len(m.lanes)
-	for i := 0; i < n; i++ {
-		ln := &m.lanes[(*next+i)%n]
-		ln.mu.Lock()
-		if len(ln.items) > 0 {
-			v := ln.items[0]
-			ln.items[0] = zero
-			ln.items = ln.items[1:]
-			if len(ln.items) == 0 {
-				ln.items = nil // let the backing array go
-			}
-			ln.mu.Unlock()
-			*next = (*next + i + 1) % n
-			return v, true
-		}
-		ln.mu.Unlock()
-	}
-	return zero, false
-}
-
-func (m *ShardedMailbox[T]) pump() {
-	next := 0
-	for {
-		if v, ok := m.take(&next); ok {
-			m.out <- v
-			continue
-		}
-		m.wakeMu.Lock()
-		m.sleeping.Store(true)
-		// Re-scan with the flag up: a producer that appended before
-		// loading the flag is found here; one that appended after will
-		// see the flag and Signal.
-		if v, ok := m.take(&next); ok {
-			m.sleeping.Store(false)
-			m.wakeMu.Unlock()
-			m.out <- v
-			continue
-		}
-		if m.closed.Load() {
-			m.sleeping.Store(false)
-			m.wakeMu.Unlock()
-			close(m.out)
-			return
-		}
-		m.cond.Wait()
-		m.sleeping.Store(false)
-		m.wakeMu.Unlock()
 	}
 }

@@ -15,7 +15,9 @@ import (
 // arrival order, with requests addressed to the module's service name
 // and events matching its subscriptions. Recv may block (for example on
 // Handle.RPC to an upstream module instance); further messages simply
-// queue. Events are shared and must be treated as read-only.
+// queue. Events are shared and must be treated as read-only. Requests
+// and events share one FIFO, so a request that a client of this broker,
+// or of a rank below it, sends after seeing event N is received after N.
 type Module interface {
 	// Name is the service name: requests with topic "<name>.*" are
 	// dispatched to this module.
@@ -46,7 +48,7 @@ type IdleBatcher interface {
 type moduleRunner struct {
 	mod   Module
 	subs  []string
-	inbox *ShardedMailbox[*wire.Message]
+	inbox *Mailbox[*wire.Message]
 	h     *Handle
 	done  chan struct{}
 }
@@ -56,12 +58,10 @@ type moduleRunner struct {
 // tree depth" policy is realized by the session choosing which ranks to
 // call LoadModule on.
 func (b *Broker) LoadModule(m Module) error {
-	// One inbox lane per dispatch shard: shards deliver into their own
-	// lane, so a hot module never head-of-line-blocks dispatch itself.
 	r := &moduleRunner{
 		mod:   m,
 		subs:  m.Subscriptions(),
-		inbox: NewShardedMailbox[*wire.Message](b.nshards),
+		inbox: NewMailbox[*wire.Message](),
 		done:  make(chan struct{}),
 	}
 	r.h = b.NewHandle()

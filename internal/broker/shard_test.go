@@ -99,6 +99,147 @@ func TestShardedDispatchPerFlowFIFO(t *testing.T) {
 	}
 }
 
+// causalModule checks the event->request causality contract from the
+// module side: it records the highest event sequence it has applied,
+// and every "causal.check" request carries the sequence of an event its
+// sender had already seen, so it must not reach Recv before that event.
+type causalModule struct {
+	mu       sync.Mutex
+	applied  uint64
+	checks   int
+	late     int
+	firstBad string
+}
+
+type checkBody struct {
+	Seen uint64 `json:"seen"`
+}
+
+func (c *causalModule) Name() string            { return "causal" }
+func (c *causalModule) Subscriptions() []string { return []string{"causal.tick"} }
+func (c *causalModule) Init(h *Handle) error    { return nil }
+func (c *causalModule) Shutdown()               {}
+
+func (c *causalModule) Recv(msg *wire.Message) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if msg.Type == wire.Event {
+		if msg.Seq > c.applied {
+			c.applied = msg.Seq
+		}
+		return
+	}
+	var body checkBody
+	if err := msg.UnpackJSON(&body); err != nil {
+		return
+	}
+	c.checks++
+	if c.applied < body.Seen {
+		c.late++
+		if c.firstBad == "" {
+			c.firstBad = fmt.Sprintf("request after event %d arrived with only event %d applied", body.Seen, c.applied)
+		}
+	}
+}
+
+func (c *causalModule) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.checks
+}
+
+// TestEventRequestCausality is the event->request causality contract
+// (DESIGN.md §14): a request sent by a handle after it has seen event N
+// reaches a subscribed module's Recv only after the module has applied
+// N. Many handles each observe every event of a concurrent publish storm
+// and answer each one with a request on their own flow, so requests
+// spread over every dispatch shard while events keep queueing behind
+// each other at the module.
+func TestEventRequestCausality(t *testing.T) {
+	for _, shards := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testEventRequestCausality(t, shards)
+		})
+	}
+}
+
+func testEventRequestCausality(t *testing.T, shards int) {
+	const observers, publishers, perPub = 16, 4, 100
+	const events = publishers * perPub
+
+	b, err := New(Config{Rank: 0, Size: 1, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := &causalModule{}
+	if err := b.LoadModule(mod); err != nil {
+		t.Fatal(err)
+	}
+	b.Start()
+	defer b.Shutdown()
+
+	var obsWG sync.WaitGroup
+	for o := 0; o < observers; o++ {
+		h := b.NewHandle()
+		defer h.Close()
+		sub, err := h.Subscribe("causal.tick")
+		if err != nil {
+			t.Fatal(err)
+		}
+		obsWG.Add(1)
+		go func() {
+			defer obsWG.Done()
+			for seen := 0; seen < events; seen++ {
+				select {
+				case ev := <-sub.Chan():
+					if err := h.Send("causal.check", wire.NodeidAny, checkBody{Seen: ev.Seq}); err != nil {
+						t.Errorf("send: %v", err)
+						return
+					}
+				case <-time.After(10 * time.Second):
+					t.Errorf("observer saw %d of %d events", seen, events)
+					return
+				}
+			}
+		}()
+	}
+
+	var pubWG sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		pubWG.Add(1)
+		go func() {
+			defer pubWG.Done()
+			h := b.NewHandle()
+			defer h.Close()
+			for i := 0; i < perPub; i++ {
+				if _, err := h.PublishEvent("causal.tick", nil); err != nil {
+					t.Errorf("publish: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	pubWG.Wait()
+	obsWG.Wait()
+	if t.Failed() {
+		return
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for mod.count() < observers*events {
+		if time.Now().After(deadline) {
+			t.Fatalf("module received %d of %d requests", mod.count(), observers*events)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mod.mu.Lock()
+	defer mod.mu.Unlock()
+	if mod.late > 0 {
+		t.Fatalf("%d of %d requests overtook an event their sender had seen; first: %s",
+			mod.late, mod.checks, mod.firstBad)
+	}
+}
+
 // TestEventTotalOrderConcurrentPublish publishes events from many
 // concurrent handles while sharded dispatch is active and checks that
 // every observer — a local subscriber and frame-capable children over

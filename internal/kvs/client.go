@@ -382,13 +382,6 @@ func (c *Client) Watch(ctx context.Context, key string) (<-chan WatchUpdate, err
 				if err := ev.UnpackJSON(&body); err != nil {
 					continue
 				}
-				// The event reached this handle; the local kvs module may
-				// not have applied it yet (its inbox lanes do not order an
-				// event against a later request), and a re-read under the
-				// old root would look unchanged and drop the update.
-				if err := c.WaitVersion(body.Version); err != nil {
-					continue
-				}
 				cur := state(body.Version)
 				if cur.Ref == last.Ref && cur.Exists == last.Exists {
 					continue // unchanged under this root

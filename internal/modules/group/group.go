@@ -170,10 +170,10 @@ func update(h *broker.Handle, topic, name, member string) error {
 	if err := resp.UnpackJSON(&body); err != nil {
 		return err
 	}
-	// Wait for the module's confirming event to pass our rank. Handle
-	// delivery order (broker loop -> module inbox vs. handle inbox) is
-	// the same event stream, so seeing seq here means the module has or
-	// will momentarily have applied it; a final list query linearizes.
+	// Wait for the module's confirming event to pass our rank. The
+	// broker hands an event to its modules before its handles, and a
+	// module has one inbox FIFO, so once seq is seen here any later
+	// group.list from this handle is received after that event.
 	for ev := range sub.Chan() {
 		if ev.Seq >= body.Seq {
 			return nil

@@ -71,7 +71,7 @@ func TestAssembleTraceFanOut(t *testing.T) {
 
 func TestAssembleTraceForeignAndOrphanSpans(t *testing.T) {
 	spans := []Span{
-		span(1, 0, 4, 50, 1, "orphan"), // no hop-0 parent gathered
+		span(1, 0, 4, 50, 1, "orphan"),           // no hop-0 parent gathered
 		{Trace: 2, Rank: 0, Hop: 0, StartNS: 60}, // different trace id
 	}
 	tree := AssembleTrace(spans)

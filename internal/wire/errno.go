@@ -215,10 +215,10 @@ const (
 
 	// Log plane: records appended to the local ring, warn+ records
 	// forwarded upstream, and forwarded batches received from children.
-	MetricLogRecords      = "cmb.log_records"
-	MetricLogForwarded    = "cmb.log_forwarded"
-	MetricLogFwdBatches   = "cmb.log_fwd_batches"
-	MetricFlightDumps     = "cmb.flight_dumps"
+	MetricLogRecords    = "cmb.log_records"
+	MetricLogForwarded  = "cmb.log_forwarded"
+	MetricLogFwdBatches = "cmb.log_fwd_batches"
+	MetricFlightDumps   = "cmb.flight_dumps"
 
 	// Encode-once event fan-out: frames encoded (one per event that had
 	// at least one frame-capable child link) and sends served from an
