@@ -53,13 +53,15 @@ debuglock:
 chaos:
 	$(GO) test -race -run 'TestChaosSoak' -v ./internal/session/
 
-# Decoder fuzzing, 10 s per target: the binary kvs.fence body
-# (FuzzFenceBody) and the in-place directory readers (FuzzDirLookup).
+# Fuzzing, 10 s per target: the binary kvs.fence body (FuzzFenceBody),
+# the in-place directory readers (FuzzDirLookup) and the merge write
+# path against the map-based reference (FuzzApplyOps).
 # Minimising each new input is capped at 200 runs, so a large seed
 # (a 256-entry fence batch) cannot stall a target's time budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFenceBody$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/kvs/
 	$(GO) test -run '^$$' -fuzz '^FuzzDirLookup$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/cas/
+	$(GO) test -run '^$$' -fuzz '^FuzzApplyOps$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/kvs/
 
 # Durability gate: the WAL truncation sweep, the restart protocol tests,
 # and the seeded crash-restart soak (kill/crash/restart of ranks and

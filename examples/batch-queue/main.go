@@ -88,8 +88,9 @@ func main() {
 	defer h0.Close()
 	kc := kvs.NewClient(h0)
 	var state string
-	kc.Get("lwj."+ids[3]+".jobstate", &state)
-	fmt.Printf("\nprovenance: lwj.%s.jobstate = %q in the KVS\n", ids[3], state)
+	dir := wexec.JobDir(ids[3])
+	kc.Get(dir+".jobstate", &state)
+	fmt.Printf("\nprovenance: %s.jobstate = %q in the KVS\n", dir, state)
 	stdout, _, _, _ := wexec.Output(h, "job-"+ids[0], 0)
 	fmt.Printf("provenance: job %s rank-0 stdout = %q\n", ids[0], stdout)
 }

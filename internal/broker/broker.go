@@ -1149,13 +1149,14 @@ func (b *Broker) routeRequest(in inbound) {
 			errnum = ErrnoNoSys
 			b.respondErr(m, ErrnoNoSys, fmt.Sprintf("no module %q at rank %d", svc, b.cfg.Rank))
 		}
-	case int(m.Nodeid) < b.RankSpace() || fromRing(in.from):
-		// Rank-addressed: forward on the ring overlay. Transit messages
-		// (arriving over a ring link) are forwarded even when the target
-		// lies beyond this broker's rank space: during growth a broker
-		// that has not yet folded the join event must not reject traffic
-		// a fresher originator validly addressed — the TTL below still
-		// bounds bogus targets.
+	case int(m.Nodeid) < b.RankSpace() || !b.IsRoot():
+		// Rank-addressed: forward on the ring overlay. A broker other
+		// than the root forwards even a target beyond its own rank space:
+		// the rank may have joined while the join event is still on its
+		// way here (or to the broker that sent the request on). The root
+		// sequenced every join, so it alone knows the rank space for
+		// certain and rejects a truly bogus rank when the request comes
+		// round to it; the TTL still bounds the trip.
 		b.ctr.requestsRing.Inc()
 		if b.Departed(int(m.Nodeid)) {
 			// Fail fast instead of looping a request to a tombstone
@@ -1194,12 +1195,6 @@ func (b *Broker) routeRequest(in inbound) {
 		Kind: "request", Topic: topic, Link: outLink, Errnum: errnum,
 		QueueNS: int64(queue), WorkNS: int64(work), StartNS: start.UnixNano(),
 	})
-}
-
-// fromRing reports whether a message arrived over a ring link (it is in
-// transit on the rank-addressed plane, not originating here).
-func fromRing(l *link) bool {
-	return l != nil && (l.kind == LinkRingIn || l.kind == LinkRingOut)
 }
 
 // queueWait is the inbox residence time of a message picked up at

@@ -332,19 +332,10 @@ func (b *Broker) applyEventLocked(ev *wire.Message) {
 			frame = f
 		}
 	}
-	b.eventHist = append(b.eventHist, eventRec{msg: ev, frame: frame})
-	var evicted []*wire.Frame
-	if over := len(b.eventHist) - b.cfg.EventHistory; over > 0 {
-		for i := 0; i < over; i++ {
-			if f := b.eventHist[i].frame; f != nil {
-				evicted = append(evicted, f)
-			}
-		}
-		b.eventHist = append([]eventRec(nil), b.eventHist[over:]...)
-	}
+	evicted := b.recordEvent(ev, frame)
 	b.mu.Unlock()
-	for _, f := range evicted {
-		f.Release()
+	if evicted != nil {
+		evicted.Release()
 	}
 
 	b.ctr.eventsApplied.Inc()
@@ -392,6 +383,24 @@ func (b *Broker) applyEventLocked(ev *wire.Message) {
 			WorkNS: int64(work), StartNS: start.UnixNano(),
 		})
 	}
+}
+
+// recordEvent appends ev and its shared frame (nil when none was
+// encoded) to the resync history and returns the frame of the record
+// that fell out of it, for the caller to release once mu is dropped.
+// The history is a window sliding over its backing array: the oldest
+// record leaves by re-slicing, and append copies the window to a fresh
+// array only when it reaches the array's end, so an event costs O(1)
+// amortised rather than a copy of the whole history. Called with mu
+// held.
+func (b *Broker) recordEvent(ev *wire.Message, frame *wire.Frame) (evicted *wire.Frame) {
+	b.eventHist = append(b.eventHist, eventRec{msg: ev, frame: frame})
+	if len(b.eventHist) > b.cfg.EventHistory {
+		evicted = b.eventHist[0].frame
+		b.eventHist[0] = eventRec{} // the backing array must not pin the record
+		b.eventHist = b.eventHist[1:]
+	}
+	return evicted
 }
 
 // sendFrame ships one reference of the shared event frame down a

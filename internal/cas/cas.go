@@ -241,6 +241,99 @@ func DirLookup(encoded []byte, name string) (Ref, bool, error) {
 	return Ref{}, false, err
 }
 
+// CanonicalDir vouches for an encoded directory before DirLookup and
+// DirMerge rely on its order. It returns encoded itself when it is in
+// the canonical form Encode writes (names strictly increasing), the
+// canonical re-encoding of what Decode makes of it when it is
+// well-formed but out of order (Decode keeps the last of duplicate
+// names), ErrCorrupt where Decode fails, and ErrNotDir for a value.
+func CanonicalDir(encoded []byte) ([]byte, error) {
+	p, err := dirTable(encoded)
+	var prev []byte
+	for first := true; err == nil && len(p) > 0; first = false {
+		start, end, ok := nextEntry(p)
+		if !ok {
+			return nil, ErrCorrupt
+		}
+		if name := p[start:end]; first || string(prev) < string(name) {
+			prev = name
+			p = p[end+RefLen:]
+			continue
+		}
+		o, derr := Decode(encoded)
+		if derr != nil {
+			return nil, derr
+		}
+		return o.Encode(), nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return encoded, nil
+}
+
+// DirEdit is one change DirMerge makes to a directory: bind Name to
+// Ref, or unlink Name when Delete is set.
+type DirEdit struct {
+	Name   string
+	Ref    Ref
+	Delete bool
+}
+
+// errEditOrder is returned by DirMerge for edits not strictly sorted by
+// name.
+var errEditOrder = errors.New("cas: directory edits not sorted by unique name")
+
+// DirMerge appends to dst the encoding of directory encoded with edits
+// applied and returns it: byte for byte what Decode, the edits and
+// Encode would give, without a map, a name string or a sort. encoded
+// must be canonical (see CanonicalDir); nil stands for the empty
+// directory. edits must be sorted by name, each name once. Entries
+// between two edits are copied as one run, and the table after the
+// last edit is copied unread. A result holding no entry is the lone
+// kind byte: the caller prunes it rather than storing it.
+func DirMerge(dst, encoded []byte, edits []DirEdit) ([]byte, error) {
+	var p []byte
+	if encoded != nil {
+		var err error
+		if p, err = dirTable(encoded); err != nil {
+			return nil, err
+		}
+	}
+	dst = append(dst, byte(KindDir))
+	off := 0 // p[:off] has been copied or dropped
+	for i := range edits {
+		e := &edits[i]
+		if i > 0 && edits[i-1].Name >= e.Name {
+			return nil, errEditOrder
+		}
+		// The entries sorting before e.Name are copied as one run; an
+		// entry named e.Name is skipped, as e replaces or drops it.
+		from, skip := off, 0
+		for off < len(p) {
+			start, end, ok := nextEntry(p[off:])
+			if !ok {
+				return nil, ErrCorrupt
+			}
+			if name := p[off+start : off+end]; string(name) >= e.Name {
+				if string(name) == e.Name {
+					skip = end + RefLen
+				}
+				break
+			}
+			off += end + RefLen
+		}
+		dst = append(dst, p[from:off]...)
+		off += skip
+		if !e.Delete {
+			dst = binary.AppendUvarint(dst, uint64(len(e.Name)))
+			dst = append(dst, e.Name...)
+			dst = append(dst, e.Ref[:]...)
+		}
+	}
+	return append(dst, p[off:]...), nil
+}
+
 // HashOf returns the SHA-1 reference of encoded object bytes.
 func HashOf(encoded []byte) Ref {
 	return Ref(sha1.Sum(encoded))
@@ -337,19 +430,6 @@ func (s *Store) snapshot() []snapEntry {
 		out = append(out, snapEntry{ref: ref, data: e.data})
 	}
 	return out
-}
-
-// Get returns the decoded object for ref, refreshing its last-use time.
-func (s *Store) Get(ref Ref) (*Object, bool) {
-	raw, ok := s.GetRaw(ref)
-	if !ok {
-		return nil, false
-	}
-	o, err := Decode(raw)
-	if err != nil {
-		return nil, false
-	}
-	return o, true
 }
 
 // GetRaw returns the encoded bytes for ref, refreshing its last-use time.

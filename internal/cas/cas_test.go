@@ -127,17 +127,17 @@ func TestStorePutGet(t *testing.T) {
 	s := NewStore(nil)
 	v := NewValue([]byte(`"hello"`))
 	ref := s.Put(v)
-	got, ok := s.Get(ref)
-	if !ok || !bytes.Equal(got.Value, v.Value) {
-		t.Fatalf("Get = %+v, %v", got, ok)
+	got, ok := s.GetRaw(ref)
+	if !ok || !bytes.Equal(got, v.Encode()) {
+		t.Fatalf("GetRaw = %q, %v", got, ok)
 	}
 	if !s.Has(ref) {
 		t.Fatal("Has = false for stored object")
 	}
 	var missing Ref
 	missing[0] = 0xFF
-	if _, ok := s.Get(missing); ok {
-		t.Fatal("Get of missing ref succeeded")
+	if _, ok := s.GetRaw(missing); ok {
+		t.Fatal("GetRaw of missing ref succeeded")
 	}
 	hits, misses := s.Stats()
 	if hits != 1 || misses != 1 {
@@ -182,7 +182,7 @@ func TestStoreGetRefreshesLastUsed(t *testing.T) {
 	s := NewStore(mc)
 	ref := s.Put(NewValue([]byte(`"x"`)))
 	mc.Advance(4 * time.Second)
-	s.Get(ref) // refresh
+	s.GetRaw(ref) // refresh
 	mc.Advance(4 * time.Second)
 	if n := s.Expire(5 * time.Second); n != 0 {
 		t.Fatalf("recently used entry expired (removed %d)", n)
@@ -229,7 +229,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
 				ref := s.Put(NewValue([]byte{byte(g), byte(i)}))
-				if _, ok := s.Get(ref); !ok {
+				if _, ok := s.GetRaw(ref); !ok {
 					t.Error("lost object")
 					return
 				}

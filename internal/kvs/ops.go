@@ -18,6 +18,7 @@ package kvs
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"fluxgo/internal/cas"
@@ -46,92 +47,116 @@ func ValidateKey(key string) error {
 // splitKey returns the path components of a validated key.
 func splitKey(key string) []string { return strings.Split(key, ".") }
 
-// mutDir is a mutable, partially loaded view of a directory used while
-// applying a batch of ops. Children are loaded lazily from the store and
-// re-serialized bottom-up afterwards, yielding the new root reference.
-type mutDir struct {
-	entries map[string]*mutEntry
+// editDir is the batch's edits to one directory, gathered before any
+// object is read. The directory they apply to is named by the parent:
+// with inherit, whatever the parent's base holds under the same name;
+// otherwise base (the zero ref for an empty directory).
+type editDir struct {
+	kids    map[string]*edit
+	inherit bool
+	base    cas.Ref
 }
 
-// mutEntry is either an untouched reference or a descended-into child
-// directory.
-type mutEntry struct {
-	ref cas.Ref // valid when dir == nil
-	dir *mutDir
+// edit is the last word the batch has on one name: bind it to ref,
+// unlink it (del), or edit the directory under it (dir).
+type edit struct {
+	ref cas.Ref
+	del bool
+	dir *editDir
 }
 
-// loadMutDir builds a mutDir from a stored directory object.
-func loadMutDir(store *cas.Store, ref cas.Ref) (*mutDir, error) {
-	d := &mutDir{entries: map[string]*mutEntry{}}
+// descend returns the edits to the directory named name, replaying the
+// store's rules in op order: an untouched name edits the directory
+// already there, an unlinked one a fresh empty directory, and one the
+// batch bound to a ref the directory that ref names (a value in the way
+// becomes an empty directory when the tree is written).
+func (d *editDir) descend(name string) *editDir {
+	e := d.kids[name]
+	switch {
+	case e == nil:
+		e = &edit{dir: &editDir{inherit: true}}
+		d.kids[name] = e
+	case e.dir != nil:
+	case e.del:
+		*e = edit{dir: &editDir{}}
+	default:
+		*e = edit{dir: &editDir{base: e.ref}}
+	}
+	if e.dir.kids == nil {
+		e.dir.kids = map[string]*edit{}
+	}
+	return e.dir
+}
+
+// baseDir returns the canonical encoding of the directory ref names, or
+// nil where the edits start from an empty one: the zero ref, a missing
+// object, a value or a corrupt object.
+func baseDir(store *cas.Store, ref cas.Ref) []byte {
 	if ref.IsZero() {
-		return d, nil
+		return nil
 	}
-	obj, ok := store.Get(ref)
+	raw, ok := store.GetRaw(ref)
 	if !ok {
-		return nil, fmt.Errorf("kvs: missing directory object %s", ref.Short())
+		return nil
 	}
-	if obj.Kind != cas.KindDir {
-		return nil, fmt.Errorf("kvs: object %s is not a directory", ref.Short())
+	dir, err := cas.CanonicalDir(raw)
+	if err != nil {
+		return nil
 	}
-	for name, r := range obj.Dir {
-		d.entries[name] = &mutEntry{ref: r}
-	}
-	return d, nil
+	return dir
 }
 
-// descend returns the child directory named name, loading or creating it
-// as needed. A value object in the way is replaced by a fresh directory
-// (last write wins).
-func (d *mutDir) descend(store *cas.Store, name string) (*mutDir, error) {
-	e, ok := d.entries[name]
-	if !ok {
-		child := &mutDir{entries: map[string]*mutEntry{}}
-		d.entries[name] = &mutEntry{dir: child}
-		return child, nil
+// treeWriter writes an edited tree bottom-up: each directory is merged
+// from its base's encoded bytes and its sorted edits, never decoded.
+type treeWriter struct {
+	store *cas.Store
+	pin   bool
+	buf   []byte // merge scratch; the store keeps its own copy
+}
+
+// write stores d applied to base (canonical, nil for empty) and returns
+// the new directory's ref. A directory left empty prunes to the zero
+// ref and is not stored.
+func (w *treeWriter) write(d *editDir, base []byte) (cas.Ref, error) {
+	names := make([]string, 0, len(d.kids))
+	for name := range d.kids {
+		names = append(names, name)
 	}
-	if e.dir != nil {
-		return e.dir, nil
-	}
-	obj, ok := store.Get(e.ref)
-	if ok && obj.Kind == cas.KindDir {
-		child, err := loadMutDir(store, e.ref)
-		if err != nil {
-			return nil, err
+	sort.Strings(names)
+	edits := make([]cas.DirEdit, len(names))
+	for i, name := range names {
+		e := d.kids[name]
+		edits[i] = cas.DirEdit{Name: name, Ref: e.ref, Delete: e.del}
+		if e.dir == nil {
+			continue
 		}
-		e.dir = child
-		return child, nil
-	}
-	// Entry is a value (or missing): overwrite with an empty directory.
-	child := &mutDir{entries: map[string]*mutEntry{}}
-	e.dir = child
-	return child, nil
-}
-
-// serialize stores the (possibly modified) directory tree bottom-up and
-// returns the directory's new reference. Empty directories collapse to
-// the zero ref so unlinking the last entry prunes the path.
-func (d *mutDir) serialize(store *cas.Store, pin bool) (cas.Ref, error) {
-	obj := cas.NewDir()
-	for name, e := range d.entries {
-		if e.dir != nil {
-			ref, err := e.dir.serialize(store, pin)
+		ref := e.dir.base // zero when inheriting, so an absent entry means empty
+		if e.dir.inherit && base != nil {
+			found, ok, err := cas.DirLookup(base, name)
 			if err != nil {
 				return cas.Ref{}, err
 			}
-			if ref.IsZero() {
-				continue // empty subdirectory pruned
+			if ok {
+				ref = found
 			}
-			obj.Dir[name] = ref
-			continue
 		}
-		obj.Dir[name] = e.ref
+		child, err := w.write(e.dir, baseDir(w.store, ref))
+		if err != nil {
+			return cas.Ref{}, err
+		}
+		edits[i] = cas.DirEdit{Name: name, Ref: child, Delete: child.IsZero()}
 	}
-	if len(obj.Dir) == 0 {
-		return cas.Ref{}, nil
+	merged, err := cas.DirMerge(w.buf[:0], base, edits)
+	if err != nil {
+		return cas.Ref{}, err
 	}
-	ref := store.Put(obj)
-	if pin {
-		store.Pin(ref)
+	w.buf = merged
+	if len(merged) == 1 {
+		return cas.Ref{}, nil // no entries left: pruned
+	}
+	ref := w.store.PutRaw(merged)
+	if w.pin {
+		w.store.Pin(ref)
 	}
 	return ref, nil
 }
@@ -141,34 +166,41 @@ func (d *mutDir) serialize(store *cas.Store, pin bool) (cas.Ref, error) {
 // new directory objects are created along each updated path, arriving at
 // a new root SHA-1. The final root is independent of op order for
 // distinct keys (hash-tree determinism); for duplicate keys the last op
-// wins.
+// wins. A directory the batch touches costs one merge of its encoded
+// bytes, however many entries it holds.
 func ApplyOps(store *cas.Store, root cas.Ref, ops []Op, pin bool) (cas.Ref, error) {
-	rootDir, err := loadMutDir(store, root)
-	if err != nil {
-		return cas.Ref{}, err
+	var base []byte
+	if !root.IsZero() {
+		raw, ok := store.GetRaw(root)
+		if !ok {
+			return cas.Ref{}, fmt.Errorf("kvs: missing directory object %s", root.Short())
+		}
+		var err error
+		if base, err = cas.CanonicalDir(raw); err != nil {
+			return cas.Ref{}, fmt.Errorf("kvs: root object %s: %w", root.Short(), err)
+		}
 	}
+	top := &editDir{kids: map[string]*edit{}}
 	for _, op := range ops {
 		if err := ValidateKey(op.Key); err != nil {
 			return cas.Ref{}, err
 		}
 		parts := splitKey(op.Key)
-		dir := rootDir
+		dir := top
 		for _, part := range parts[:len(parts)-1] {
-			dir, err = dir.descend(store, part)
-			if err != nil {
-				return cas.Ref{}, err
-			}
+			dir = dir.descend(part)
 		}
 		leaf := parts[len(parts)-1]
 		if op.Delete {
-			delete(dir.entries, leaf)
+			dir.kids[leaf] = &edit{del: true}
 			continue
 		}
 		ref, err := cas.ParseRef(op.Ref)
 		if err != nil {
 			return cas.Ref{}, fmt.Errorf("kvs: op %q: %w", op.Key, err)
 		}
-		dir.entries[leaf] = &mutEntry{ref: ref}
+		dir.kids[leaf] = &edit{ref: ref}
 	}
-	return rootDir.serialize(store, pin)
+	w := treeWriter{store: store, pin: pin}
+	return w.write(top, base)
 }

@@ -36,7 +36,7 @@ func lookup(t *testing.T, store *cas.Store, root cas.Ref, key string) (*cas.Obje
 	}
 	ref := root
 	for _, part := range splitKey(key) {
-		obj, ok := store.Get(ref)
+		obj, ok := getObject(store, ref)
 		if !ok || obj.Kind != cas.KindDir {
 			return nil, false
 		}
@@ -46,8 +46,7 @@ func lookup(t *testing.T, store *cas.Store, root cas.Ref, key string) (*cas.Obje
 		}
 		ref = next
 	}
-	obj, ok := store.Get(ref)
-	return obj, ok
+	return getObject(store, ref)
 }
 
 func TestApplyOpsPaperExample(t *testing.T) {

@@ -2,7 +2,7 @@
 // of a Flux instance. Jobs are submitted into a queue, scheduled against
 // the resource service (resrc), launched in bulk through the
 // work-execution module (wexec), and their full lifecycle is recorded in
-// the KVS under lwj.<id> — giving the "much richer provenance on jobs"
+// the KVS under wexec.JobDir(id) — giving the "much richer provenance on jobs"
 // the paper's paradigm calls for. State transitions are published as
 // job.state events so tools can follow jobs without polling.
 //
@@ -144,7 +144,7 @@ func (m *Module) Recv(msg *wire.Message) {
 // record writes a job's current state into the KVS and announces the
 // transition. Returns the recording version.
 func (m *Module) record(info *Info) uint64 {
-	prefix := "lwj." + info.ID
+	prefix := wexec.JobDir(info.ID)
 	m.kc.Put(prefix+".spec", info.Spec)
 	m.kc.Put(prefix+".jobstate", info.State)
 	if info.Ranks != nil {
@@ -244,7 +244,7 @@ func (m *Module) onComplete(msg *wire.Message) {
 		state = StateFailed
 	}
 	var nfailed int
-	m.kc.Get(fmt.Sprintf("lwj.%s.nfailed", body.JobID), &nfailed)
+	m.kc.Get(wexec.JobDir(body.JobID)+".nfailed", &nfailed)
 	m.finish(id, state, nfailed)
 }
 
@@ -262,7 +262,7 @@ func (m *Module) finish(id, state string, nfailed int) {
 	m.mu.Unlock()
 
 	resrc.Free(m.h, "job-"+id)
-	m.kc.Put("lwj."+id+".nfailed", nfailed)
+	m.kc.Put(wexec.JobDir(id)+".nfailed", nfailed)
 	m.record(info)
 	m.schedule()
 }
@@ -338,12 +338,13 @@ func (m *Module) recvInfo(msg *wire.Message) {
 	}
 	m.mu.Unlock()
 	info := Info{ID: body.ID}
-	if err := m.kc.Get("lwj."+body.ID+".jobstate", &info.State); err != nil {
+	dir := wexec.JobDir(body.ID)
+	if err := m.kc.Get(dir+".jobstate", &info.State); err != nil {
 		m.h.RespondError(msg, broker.ErrnoNoEnt, fmt.Sprintf("job: no job %q", body.ID))
 		return
 	}
-	m.kc.Get("lwj."+body.ID+".spec", &info.Spec)
-	m.kc.Get("lwj."+body.ID+".ranks", &info.Ranks)
-	m.kc.Get("lwj."+body.ID+".nfailed", &info.Exit)
+	m.kc.Get(dir+".spec", &info.Spec)
+	m.kc.Get(dir+".ranks", &info.Ranks)
+	m.kc.Get(dir+".nfailed", &info.Exit)
 	m.h.Respond(msg, info)
 }

@@ -59,11 +59,11 @@ func TestSubmitRunComplete(t *testing.T) {
 	// Provenance trail in the KVS.
 	kc := kvs.NewClient(h)
 	var state string
-	if err := kc.Get("lwj.1.jobstate", &state); err != nil || state != StateComplete {
+	if err := kc.Get(wexec.JobDir("1")+".jobstate", &state); err != nil || state != StateComplete {
 		t.Fatalf("kvs jobstate %q %v", state, err)
 	}
 	var spec Spec
-	if err := kc.Get("lwj.1.spec", &spec); err != nil || spec.Program != "echo" {
+	if err := kc.Get(wexec.JobDir("1")+".spec", &spec); err != nil || spec.Program != "echo" {
 		t.Fatalf("kvs spec %+v %v", spec, err)
 	}
 	// Task stdout captured under the wexec job id.

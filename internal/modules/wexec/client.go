@@ -3,11 +3,37 @@ package wexec
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"fluxgo/internal/broker"
 	"fluxgo/internal/kvs"
 	"fluxgo/internal/wire"
 )
+
+// JobDir returns the KVS directory that holds job id's record:
+// lwj.<N/10000>.<(N/100)%100>.<id>, where N is the number the id ends
+// in ("42" and "job-42" both give 42; an id with no trailing digits, or
+// more than fit in 64 bits, counts as 0). A job commit then rewrites
+// directories of at most ~200 entries (a bucket holds 100 numbers, and
+// jobsvc's "N" and wexec's "job-N" share one), never the whole job
+// history, and a finished bucket is never rewritten again.
+func JobDir(id string) string {
+	digits := len(id)
+	for digits > 0 && id[digits-1] >= '0' && id[digits-1] <= '9' {
+		digits--
+	}
+	n, err := strconv.ParseUint(id[digits:], 10, 64)
+	if err != nil {
+		n = 0
+	}
+	b := make([]byte, 0, 16+len(id))
+	b = append(b, "lwj."...)
+	b = strconv.AppendUint(b, n/10000, 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, n/100%100, 10)
+	b = append(b, '.')
+	return string(append(b, id...))
+}
 
 // JobResult summarizes a completed bulk job.
 type JobResult struct {
@@ -90,19 +116,20 @@ func Wait(ctx context.Context, h *broker.Handle, jobid string) (JobResult, error
 // readResult loads the job's final record from the KVS if present.
 func readResult(kc *kvs.Client, jobid string) (JobResult, bool) {
 	var state string
-	if err := kc.Get(fmt.Sprintf("lwj.%s.state", jobid), &state); err != nil {
+	dir := JobDir(jobid)
+	if err := kc.Get(dir+".state", &state); err != nil {
 		return JobResult{}, false
 	}
 	res := JobResult{JobID: jobid, State: state}
-	kc.Get(fmt.Sprintf("lwj.%s.ntasks", jobid), &res.NTasks)
-	kc.Get(fmt.Sprintf("lwj.%s.nfailed", jobid), &res.NFailed)
+	kc.Get(dir+".ntasks", &res.NTasks)
+	kc.Get(dir+".nfailed", &res.NFailed)
 	return res, true
 }
 
 // Output fetches one task's captured stdout from the KVS.
 func Output(h *broker.Handle, jobid string, rank int) (stdout, stderr string, exit int, err error) {
 	kc := kvs.NewClient(h)
-	prefix := fmt.Sprintf("lwj.%s.%d", jobid, rank)
+	prefix := JobDir(jobid) + "." + strconv.Itoa(rank)
 	if err = kc.Get(prefix+".exitcode", &exit); err != nil {
 		return "", "", 0, err
 	}

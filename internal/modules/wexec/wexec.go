@@ -5,7 +5,7 @@
 // Tasks are simulated processes — registered Go programs running in
 // goroutines (the paper launched real binaries; this substitution keeps
 // the identical control and data paths: bulk launch via a session event,
-// per-task stdio and exit codes committed to the KVS under lwj.<jobid>,
+// per-task stdio and exit codes committed to the KVS under JobDir(jobid),
 // completion counting reduced to the root, kill via a session event).
 package wexec
 
@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -290,7 +291,7 @@ func (m *Module) onRun(msg *wire.Message) {
 // completeTask captures a finished task's stdio and exit code in the KVS
 // and reports completion toward the root.
 func (m *Module) completeTask(jobid string, code int, stdout, stderr string) {
-	prefix := fmt.Sprintf("lwj.%s.%d", jobid, m.h.Rank())
+	prefix := JobDir(jobid) + "." + strconv.Itoa(m.h.Rank())
 	m.kc.Put(prefix+".exitcode", code)
 	if stdout != "" {
 		m.kc.Put(prefix+".stdout", stdout)
@@ -358,9 +359,10 @@ func (m *Module) finishJob(jobid string) {
 	if fails > 0 {
 		state = "failed"
 	}
-	m.kc.Put(fmt.Sprintf("lwj.%s.state", jobid), state)
-	m.kc.Put(fmt.Sprintf("lwj.%s.ntasks", jobid), ntasks)
-	m.kc.Put(fmt.Sprintf("lwj.%s.nfailed", jobid), fails)
+	dir := JobDir(jobid)
+	m.kc.Put(dir+".state", state)
+	m.kc.Put(dir+".ntasks", ntasks)
+	m.kc.Put(dir+".nfailed", fails)
 	version, err := m.kc.Commit()
 	if err != nil {
 		return

@@ -95,6 +95,59 @@ func TestElasticGrowShrink(t *testing.T) {
 	}
 }
 
+// TestGrownRankAddressableFromEveryRank pings a freshly grown rank from
+// every live rank at once, while the join event is still held back from
+// one subtree (the root's link to rank 2 delays every delivery). Ranks
+// 2, 5 and 6 have not yet folded the join, so the new rank lies beyond
+// their rank space: they must send the ping on along the ring rather
+// than answer EINVAL. Only the root, which sequenced the join, rejects
+// a rank beyond its space.
+func TestGrownRankAddressableFromEveryRank(t *testing.T) {
+	s, err := New(Options{Size: 7, Arity: 2, FaultInjection: true, FaultSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Chaos().SetLinkFaults(0, 2, transport.Faults{Delay: 500 * time.Millisecond})
+
+	grown, err := s.Grow(1)
+	if err != nil {
+		t.Fatalf("grow: %v", err)
+	}
+	if space := s.Broker(5).RankSpace(); space > grown {
+		t.Fatalf("rank 5 already sees rank space %d: the join event was not held back", space)
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < grown; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			h := s.Handle(r)
+			defer h.Close()
+			resp, err := h.RPC(wire.TopicPing, uint32(grown), map[string]any{})
+			if err != nil {
+				t.Errorf("ping rank %d from rank %d: %v", grown, r, err)
+				return
+			}
+			var body struct {
+				Rank int `json:"rank"`
+			}
+			if err := resp.UnpackJSON(&body); err != nil || body.Rank != grown {
+				t.Errorf("ping rank %d from rank %d answered by %d (%v)", grown, r, body.Rank, err)
+			}
+		}(r)
+	}
+	wg.Wait()
+
+	// A rank beyond every broker's space still fails: the ring carries
+	// the ping round to the root, which answers EINVAL.
+	h := s.Handle(5)
+	defer h.Close()
+	if _, err := h.RPC(wire.TopicPing, uint32(grown+50), map[string]any{}); !wire.IsErrnum(err, wire.ErrnoInval) {
+		t.Fatalf("ping of bogus rank %d: err %v, want EINVAL", grown+50, err)
+	}
+}
+
 // TestElasticChaosSoak is the headline elasticity proof: a seeded chaos
 // schedule drops, delays, and partitions traffic and silently crashes
 // interior ranks WHILE the membership churns — ranks join and drain

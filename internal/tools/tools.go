@@ -30,7 +30,7 @@ func JobRanks(h *broker.Handle, jobID string) ([]int, error) {
 	}
 	kc := kvs.NewClient(h)
 	var ranks []int
-	if err := kc.Get(fmt.Sprintf("lwj.%s.ranks", jobID), &ranks); err != nil {
+	if err := kc.Get(wexec.JobDir(jobID)+".ranks", &ranks); err != nil {
 		return nil, fmt.Errorf("tools: job %s has no rank record: %w", jobID, err)
 	}
 	return ranks, nil
@@ -65,7 +65,7 @@ func BuiltinTools() wexec.HandleRegistry {
 			}
 			kc := kvs.NewClient(h)
 			var state string
-			if err := kc.Get("lwj."+args[0]+".jobstate", &state); err != nil {
+			if err := kc.Get(wexec.JobDir(args[0])+".jobstate", &state); err != nil {
 				fmt.Fprintf(stderr, "jobinfo: %v\n", err)
 				return 1
 			}
@@ -73,7 +73,7 @@ func BuiltinTools() wexec.HandleRegistry {
 				Program string `json:"program"`
 				Nodes   int    `json:"nodes"`
 			}
-			kc.Get("lwj."+args[0]+".spec", &spec)
+			kc.Get(wexec.JobDir(args[0])+".spec", &spec)
 			fmt.Fprintf(stdout, "rank %d: job %s program=%s nodes=%d state=%s\n",
 				rank, args[0], spec.Program, spec.Nodes, state)
 			return 0
