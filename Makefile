@@ -54,12 +54,14 @@ chaos:
 	$(GO) test -race -run 'TestChaosSoak' -v ./internal/session/
 
 # Fuzzing, 10 s per target: the binary kvs.fence body (FuzzFenceBody),
-# the in-place directory readers (FuzzDirLookup) and the merge write
-# path against the map-based reference (FuzzApplyOps).
+# the kvs.load request and response bodies (FuzzLoadBody), the in-place
+# directory readers (FuzzDirLookup) and the merge write path against
+# the map-based reference (FuzzApplyOps).
 # Minimising each new input is capped at 200 runs, so a large seed
 # (a 256-entry fence batch) cannot stall a target's time budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFenceBody$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/kvs/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadBody$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/kvs/
 	$(GO) test -run '^$$' -fuzz '^FuzzDirLookup$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/cas/
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyOps$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/kvs/
 

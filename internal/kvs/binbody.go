@@ -1,6 +1,8 @@
 package kvs
 
 import (
+	"fmt"
+
 	"fluxgo/internal/cas"
 	"fluxgo/internal/wire"
 )
@@ -30,46 +32,137 @@ func decodePutBody(m *wire.Message) (body putBody, err error) {
 	return body, err
 }
 
+// bin sends the batch as one field of len(Refs) raw 20-byte references,
+// with no hex form built for any of them.
 func (b loadBody) bin() wire.RawBody {
-	n := len(b.Ref) + 8
-	for _, s := range b.Refs {
-		n += len(s) + 4
+	raw := make([]byte, 0, len(b.Refs)*cas.RefLen)
+	for _, ref := range b.Refs {
+		raw = append(raw, ref[:]...)
 	}
-	w := wire.NewBinWriter(n)
-	w.String(b.Ref)
-	w.StringSlice(b.Refs)
+	w := wire.NewBinWriter(len(raw) + 8)
+	w.Bytes(raw)
 	return w.Finish()
 }
 
+// jsonForm is the hex form a JSON-only peer reads.
+func (b loadBody) jsonForm() loadBodyJSON {
+	hex := make([]string, len(b.Refs))
+	for i, ref := range b.Refs {
+		hex[i] = ref.String()
+	}
+	return loadBodyJSON{Refs: hex}
+}
+
+// decodeLoadBody accepts either encoding. A request naming no reference
+// or more than maxLoadBatch (fetchBatch never sends more), a malformed
+// hex reference, or a raw field whose length is not a multiple of
+// cas.RefLen is an error.
 func decodeLoadBody(m *wire.Message) (body loadBody, err error) {
 	if r, ok := wire.NewBinReader(m.Payload); ok {
-		body.Ref = r.String()
-		body.Refs = r.StringSlice()
-		return body, r.Err()
+		raw := r.View()
+		if err := r.Err(); err != nil {
+			return body, err
+		}
+		if len(raw)%cas.RefLen != 0 {
+			return body, fmt.Errorf("kvs: load refs field of %d bytes is not a multiple of %d", len(raw), cas.RefLen)
+		}
+		if err := checkLoadCount(len(raw) / cas.RefLen); err != nil {
+			return body, err
+		}
+		body.Refs = make([]cas.Ref, len(raw)/cas.RefLen)
+		for i := range body.Refs {
+			copy(body.Refs[i][:], raw[i*cas.RefLen:])
+		}
+		return body, nil
 	}
-	err = m.UnpackJSON(&body)
-	return body, err
+	var j loadBodyJSON
+	if err = m.UnpackJSON(&j); err != nil {
+		return body, err
+	}
+	hex := j.Refs
+	if len(hex) == 0 {
+		hex, body.Single = []string{j.Ref}, true
+	}
+	if err := checkLoadCount(len(hex)); err != nil {
+		return body, err
+	}
+	body.Refs = make([]cas.Ref, len(hex))
+	for i, h := range hex {
+		if body.Refs[i], err = cas.ParseRef(h); err != nil {
+			return loadBody{}, err
+		}
+	}
+	return body, nil
 }
 
+func checkLoadCount(n int) error {
+	if n == 0 || n > maxLoadBatch {
+		return fmt.Errorf("kvs: load of %d refs, want 1 to %d", n, maxLoadBatch)
+	}
+	return nil
+}
+
+// bin lays the objects out as a count and then one field per requested
+// reference, in request order; an empty field marks an absent object
+// (an encoded object is never empty).
 func (b loadResp) bin() wire.RawBody {
-	n := len(b.Data) + 8
-	for k, v := range b.Objects {
-		n += len(k) + len(v) + 8
+	n := 8
+	for _, o := range b.Objects {
+		n += len(o) + 4
 	}
 	w := wire.NewBinWriter(n)
-	w.Bytes(b.Data)
-	w.BytesMap(b.Objects)
+	w.Uint(uint64(len(b.Objects)))
+	for _, o := range b.Objects {
+		w.Bytes(o)
+	}
 	return w.Finish()
 }
 
-func decodeLoadResp(m *wire.Message) (body loadResp, err error) {
+// jsonForm is the form a JSON-only requester reads: Data for its
+// single-ref request, else the objects it asked for keyed by hex ref.
+func (b loadResp) jsonForm(req loadBody) loadRespJSON {
+	if req.Single {
+		return loadRespJSON{Data: b.Objects[0]}
+	}
+	objects := make(map[string][]byte, len(b.Objects))
+	for i, o := range b.Objects {
+		if o != nil {
+			objects[req.Refs[i].String()] = o
+		}
+	}
+	return loadRespJSON{Objects: objects}
+}
+
+// decodeLoadResp decodes the answer to a batched request for refs into
+// request order. A binary answer's objects alias m.Payload (the caller
+// copies what it keeps and holds m until then); one whose count differs
+// from len(refs) is an error.
+func decodeLoadResp(m *wire.Message, refs []cas.Ref) (body loadResp, err error) {
 	if r, ok := wire.NewBinReader(m.Payload); ok {
-		body.Data = r.Bytes()
-		body.Objects = r.BytesMap()
+		n := r.Count()
+		if err := r.Err(); err != nil {
+			return body, err
+		}
+		if n != len(refs) {
+			return body, fmt.Errorf("kvs: load response carries %d objects for %d refs", n, len(refs))
+		}
+		body.Objects = make([][]byte, n)
+		for i := range body.Objects {
+			body.Objects[i] = r.View()
+		}
 		return body, r.Err()
 	}
-	err = m.UnpackJSON(&body)
-	return body, err
+	var j loadRespJSON
+	if err = m.UnpackJSON(&j); err != nil {
+		return body, err
+	}
+	body.Objects = make([][]byte, len(refs))
+	for i, ref := range refs {
+		if o := j.Objects[ref.String()]; len(o) > 0 {
+			body.Objects[i] = o
+		}
+	}
+	return body, nil
 }
 
 func (b getBody) bin() wire.RawBody {

@@ -2,6 +2,7 @@ package kvs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -32,25 +33,59 @@ func TestBinBodyRoundTrip(t *testing.T) {
 		t.Fatalf("putBody round trip: got %+v, want %+v", got, put)
 	}
 
-	load := loadBody{Ref: "aa", Refs: []string{"bb", "cc"}}
-	msg = &wire.Message{Payload: []byte(load.bin())}
-	gotLoad, err := decodeLoadBody(msg)
+	for _, load := range loadBodies() {
+		got, err := decodeLoadBody(&wire.Message{Payload: load.bin()})
+		if err != nil || !reflect.DeepEqual(got, load) {
+			t.Fatalf("loadBody binary round trip: got %+v, %v; want %+v", got, err, load)
+		}
+		jm, err := wire.NewRequest("kvs.load", wire.NodeidAny, load.jsonForm())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err = decodeLoadBody(jm); err != nil || !reflect.DeepEqual(got, load) {
+			t.Fatalf("loadBody JSON decode: got %+v, %v; want %+v", got, err, load)
+		}
+	}
+	one := cas.HashOf([]byte("one"))
+	single, err := wire.NewRequest("kvs.load", wire.NodeidAny, loadBodyJSON{Ref: one.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotLoad.Ref != load.Ref || len(gotLoad.Refs) != 2 || gotLoad.Refs[1] != "cc" {
-		t.Fatalf("loadBody round trip: got %+v, want %+v", gotLoad, load)
+	if got, err := decodeLoadBody(single); err != nil || !reflect.DeepEqual(got, loadBody{Refs: []cas.Ref{one}, Single: true}) {
+		t.Fatalf("single-ref JSON loadBody decode: got %+v, %v", got, err)
+	}
+	for _, bad := range [][]byte{
+		{wire.BinMagic, 0}, // no refs
+		append([]byte{wire.BinMagic, 19}, one[:19]...),          // a short ref
+		append([]byte{wire.BinMagic, 21}, append(one[:], 0)...), // a ref and a byte
+		{wire.BinMagic, 40, 1, 2},                               // truncated
+		loadBody{Refs: make([]cas.Ref, maxLoadBatch+1)}.bin(),   // one ref past the batch cap
+		[]byte(`{"refs":["zz"]}`),
+		[]byte(`{}`),
+	} {
+		if got, err := decodeLoadBody(&wire.Message{Payload: bad}); err == nil {
+			t.Fatalf("load body % x decoded without error: %+v", bad, got)
+		}
 	}
 
-	resp := loadResp{Data: []byte("xyz"), Objects: map[string][]byte{"k1": {9}, "k2": {8, 7}}}
-	msg = &wire.Message{Payload: []byte(resp.bin())}
-	gotResp, err := decodeLoadResp(msg)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range loadResps() {
+		got, err := decodeLoadResp(&wire.Message{Payload: c.resp.bin()}, c.refs)
+		if err != nil || !reflect.DeepEqual(got, c.resp) {
+			t.Fatalf("loadResp binary round trip: got %+v, %v; want %+v", got, err, c.resp)
+		}
+		jm := &wire.Message{Topic: "kvs.load"}
+		if err := jm.PackJSON(c.resp.jsonForm(loadBody{Refs: c.refs})); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = decodeLoadResp(jm, c.refs); err != nil || !reflect.DeepEqual(got, c.resp) {
+			t.Fatalf("loadResp JSON decode: got %+v, %v; want %+v", got, err, c.resp)
+		}
+		if _, err := decodeLoadResp(&wire.Message{Payload: c.resp.bin()}, c.refs[1:]); err == nil {
+			t.Fatalf("a %d-object response decoded for %d refs", len(c.refs), len(c.refs)-1)
+		}
 	}
-	if !bytes.Equal(gotResp.Data, resp.Data) || len(gotResp.Objects) != 2 ||
-		!bytes.Equal(gotResp.Objects["k2"], []byte{8, 7}) {
-		t.Fatalf("loadResp round trip: got %+v, want %+v", gotResp, resp)
+	if js := (loadResp{Objects: [][]byte{{7}}}).jsonForm(loadBody{Refs: []cas.Ref{one}, Single: true}); !bytes.Equal(js.Data, []byte{7}) || js.Objects != nil {
+		t.Fatalf("single-ref JSON response = %+v, want Data only", js)
 	}
 
 	get := getBody{Key: "a.b", Root: "0123"}
@@ -153,6 +188,38 @@ func fenceBodies() []fenceBody {
 	}
 }
 
+// loadBodies are the batched requests the round-trip test and the fuzz
+// seeds share: one ref, a duplicated ref, and a full batch.
+func loadBodies() []loadBody {
+	var full []cas.Ref
+	for i := 0; i < maxLoadBatch; i++ {
+		full = append(full, cas.HashOf([]byte(fmt.Sprint(i))))
+	}
+	a, b := cas.HashOf([]byte("a")), cas.HashOf([]byte("b"))
+	return []loadBody{{Refs: full[:1]}, {Refs: []cas.Ref{a, b, a}}, {Refs: full}}
+}
+
+// loadResps pairs requests with answers: every object present, some
+// absent, one that starts with the binary magic byte, and none present.
+func loadResps() []struct {
+	refs []cas.Ref
+	resp loadResp
+} {
+	v1 := cas.NewValue([]byte(`"one"`)).Encode()
+	magic := []byte{wire.BinMagic, 1, 2, 3}
+	dir := (&cas.Object{Kind: cas.KindDir, Dir: map[string]cas.Ref{"x": cas.HashOf(v1)}}).Encode()
+	h := cas.HashOf
+	return []struct {
+		refs []cas.Ref
+		resp loadResp
+	}{
+		{[]cas.Ref{h(v1)}, loadResp{Objects: [][]byte{v1}}},
+		{[]cas.Ref{h(v1), h(dir), h(magic)}, loadResp{Objects: [][]byte{v1, dir, magic}}},
+		{[]cas.Ref{h(v1), h(nil), h(dir)}, loadResp{Objects: [][]byte{v1, nil, dir}}},
+		{[]cas.Ref{h(nil), h([]byte("gone"))}, loadResp{Objects: [][]byte{nil, nil}}},
+	}
+}
+
 // FuzzFenceBody holds decodeFenceBody to two rules on any input: it
 // never panics, and whatever it accepts, bin() then a decode yields the
 // same body as the JSON codec's round trip of it.
@@ -243,6 +310,96 @@ func jsonCarries(b fenceBody) bool {
 		ok = ok && utf8.ValidString(k)
 	}
 	return ok
+}
+
+// FuzzLoadBody holds the kvs.load codecs to their rules on any request
+// and response payload: decoding never panics; a binary request whose
+// ref field is not a whole number of references, and a binary response
+// whose object count differs from the request's ref count, are errors;
+// and whatever is accepted survives an encode/decode round trip.
+func FuzzLoadBody(f *testing.F) {
+	bodies := loadBodies()
+	for i, c := range loadResps() {
+		req := []byte(loadBody{Refs: c.refs}.bin())
+		resp := []byte(c.resp.bin())
+		f.Add(req, resp)
+		f.Add(req[:len(req)-1], resp[:len(resp)-1])
+		f.Add([]byte(bodies[i%len(bodies)].bin()), resp)
+		js, err := json.Marshal(c.resp.jsonForm(loadBody{Refs: c.refs}))
+		if err != nil {
+			f.Fatal(err)
+		}
+		jreq, err := json.Marshal(loadBody{Refs: c.refs}.jsonForm())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(jreq, js)
+	}
+	f.Fuzz(checkLoadBody)
+}
+
+func checkLoadBody(t *testing.T, reqData, respData []byte) {
+	refs := []cas.Ref{cas.HashOf([]byte("a")), cas.HashOf(nil)}
+	req, err := decodeLoadBody(&wire.Message{Topic: "kvs.load", Payload: reqData})
+	if n, ok := leadingField(reqData); ok && n%cas.RefLen != 0 && err == nil {
+		t.Fatalf("a %d-byte ref field decoded: %+v", n, req)
+	}
+	if err == nil {
+		if len(req.Refs) == 0 || len(req.Refs) > maxLoadBatch {
+			t.Fatalf("a request naming %d refs decoded", len(req.Refs))
+		}
+		again, err := decodeLoadBody(&wire.Message{Payload: req.bin()})
+		if err != nil || !reflect.DeepEqual(again.Refs, req.Refs) || again.Single {
+			t.Fatalf("binary round trip: got %+v, %v; want %+v", again, err, req.Refs)
+		}
+		jm, err := wire.NewRequest("kvs.load", wire.NodeidAny, req.jsonForm())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err = decodeLoadBody(jm); err != nil || !reflect.DeepEqual(again.Refs, req.Refs) {
+			t.Fatalf("JSON round trip: got %+v, %v; want %+v", again, err, req.Refs)
+		}
+		refs = req.Refs
+	}
+
+	resp, err := decodeLoadResp(&wire.Message{Topic: "kvs.load", Payload: respData}, refs)
+	if n, ok := leadingCount(respData); ok && n != uint64(len(refs)) && err == nil {
+		t.Fatalf("a %d-object response decoded for %d refs", n, len(refs))
+	}
+	if err != nil {
+		return
+	}
+	if len(resp.Objects) != len(refs) {
+		t.Fatalf("decoded %d objects for %d refs", len(resp.Objects), len(refs))
+	}
+	again, err := decodeLoadResp(&wire.Message{Payload: resp.bin()}, refs)
+	if err != nil || !reflect.DeepEqual(again, resp) {
+		t.Fatalf("binary round trip: got %+v, %v; want %+v", again, err, resp)
+	}
+}
+
+// leadingField is the length a binary body's first field declares,
+// when the body is binary and that field is whole.
+func leadingField(payload []byte) (int, bool) {
+	n, hdr, ok := leadingUvarint(payload)
+	if !ok || n > uint64(len(payload)-1-hdr) {
+		return 0, false
+	}
+	return int(n), true
+}
+
+// leadingCount is a binary body's first uvarint, when it has one.
+func leadingCount(payload []byte) (uint64, bool) {
+	n, _, ok := leadingUvarint(payload)
+	return n, ok
+}
+
+func leadingUvarint(payload []byte) (n uint64, size int, ok bool) {
+	if !wire.IsBinaryBody(payload) {
+		return 0, 0, false
+	}
+	n, size = binary.Uvarint(payload[1:])
+	return n, size, size > 0
 }
 
 // binKVSSession is newKVSSession with binary bodies negotiated on.
@@ -568,5 +725,116 @@ func crossVersionFence(t *testing.T) {
 		if err := c.Get(key, &v); err != nil || v != method {
 			t.Fatalf("%s = %q, %v; want %q", key, v, err, method)
 		}
+	}
+}
+
+// TestLoadBatchesThroughJSONInteriorRank faults a directory wider than
+// one load batch through a JSON-only interior rank (rank 1, between the
+// binary root and binary leaves 3 and 4), first with one reader per
+// rank in turn and then with concurrent readers of overlapping keys at
+// every rank. Every read must return the committed bytes, and the
+// fault-in counters must match an all-binary session's: the encoding of
+// a link changes no load and no batch.
+func TestLoadBatchesThroughJSONInteriorRank(t *testing.T) {
+	const entries = maxLoadBatch + 36
+	run := func(t *testing.T, jsonInterior bool) (seqLoads, seqBatches, loads uint64) {
+		s := binKVSSession(t, 7, 2)
+		if jsonInterior {
+			s.Broker(1).SetBinaryBodies(false)
+		}
+		w := client(t, s, 0)
+		commit := func(dir string) (uint64, []string) {
+			vals := make([]string, entries)
+			for i := range vals {
+				vals[i] = fmt.Sprintf("%s-%d-%s", dir, i, strings.Repeat("v", i))
+				if err := w.Put(fmt.Sprintf("%s.k%03d", dir, i), vals[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ver, err := w.Commit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ver, vals
+		}
+		read := func(c *Client, dir string, vals []string, from, to int) error {
+			for i := from; i < to; i++ {
+				var v string
+				if err := c.Get(fmt.Sprintf("%s.k%03d", dir, i), &v); err != nil {
+					return err
+				}
+				if v != vals[i] {
+					return fmt.Errorf("%s.k%03d = %q, want %q", dir, i, v, vals[i])
+				}
+			}
+			return nil
+		}
+		totals := func() (loads, batches uint64) {
+			for r := 1; r < 7; r++ {
+				_, l, b := kvsStats(t, s, r)
+				loads, batches = loads+l, batches+b
+			}
+			return loads, batches
+		}
+
+		ver, vals := commit("seq")
+		for r := 1; r < 7; r++ {
+			c := client(t, s, r)
+			if err := c.WaitVersion(ver); err != nil {
+				t.Fatal(err)
+			}
+			if err := read(c, "seq", vals, 0, entries); err != nil {
+				t.Fatalf("rank %d: %v", r, err)
+			}
+		}
+		seqLoads, seqBatches = totals()
+
+		ver, vals = commit("par")
+		ranges := [][2]int{{0, entries * 2 / 3}, {entries / 3, entries}, {entries / 4, entries * 3 / 4}}
+		errs := make(chan error, 6*len(ranges))
+		var wg sync.WaitGroup
+		for r := 1; r < 7; r++ {
+			for _, rg := range ranges {
+				c := client(t, s, r)
+				wg.Add(1)
+				go func(r int, rg [2]int) {
+					defer wg.Done()
+					if err := c.WaitVersion(ver); err != nil {
+						errs <- err
+						return
+					}
+					if err := read(c, "par", vals, rg[0], rg[1]); err != nil {
+						errs <- fmt.Errorf("rank %d: %w", r, err)
+					}
+				}(r, rg)
+			}
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		loads, _ = totals()
+		return seqLoads, seqBatches, loads
+	}
+
+	var want [3]uint64
+	t.Run("binary", func(t *testing.T) {
+		want[0], want[1], want[2] = run(t, false)
+	})
+	t.Run("json-interior", func(t *testing.T) {
+		loads, batches, all := run(t, true)
+		if loads != want[0] || batches != want[1] {
+			t.Fatalf("sequential reads: %d loads in %d batches; the all-binary session took %d in %d", loads, batches, want[0], want[1])
+		}
+		if all != want[2] {
+			t.Fatalf("after concurrent reads: %d loads; the all-binary session took %d", all, want[2])
+		}
+	})
+	// Every rank below the root faults in each object exactly once: per
+	// commit, the new root directory, the committed directory and its
+	// values.
+	if perRank := uint64(2 * (2 + entries)); want[2] != 6*perRank {
+		t.Fatalf("all-binary session faulted in %d objects, want %d (6 ranks x %d)", want[2], 6*perRank, perRank)
 	}
 }

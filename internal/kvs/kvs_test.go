@@ -580,3 +580,75 @@ func TestPutInvalidKey(t *testing.T) {
 		t.Fatal("get with bad key accepted")
 	}
 }
+
+// syncStats reads one rank's parked kvs.sync count and the age of the
+// oldest.
+func syncStats(t *testing.T, s *session.Session, rank int) (waiters int, oldestMs float64) {
+	t.Helper()
+	h := s.Handle(rank)
+	defer h.Close()
+	resp, err := h.RPC("kvs.stats", uint32(rank), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Waiters  *int     `json:"sync_waiters"`
+		OldestMs *float64 `json:"sync_oldest_ms"`
+	}
+	if err := resp.UnpackJSON(&body); err != nil {
+		t.Fatal(err)
+	}
+	if body.Waiters == nil || body.OldestMs == nil {
+		t.Fatalf("kvs.stats at rank %d carries no sync_waiters/sync_oldest_ms", rank)
+	}
+	return *body.Waiters, *body.OldestMs
+}
+
+// TestSyncWaitersReported: kvs.stats shows a kvs.sync parked for a
+// version not yet published, with its age, and shows none once the
+// version arrives.
+func TestSyncWaitersReported(t *testing.T) {
+	s := newKVSSession(t, 3, 2)
+	w := client(t, s, 0)
+	if err := w.Put("sw.a", 1); err != nil {
+		t.Fatal(err)
+	}
+	ver, err := w.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := client(t, s, 2)
+	if err := r.WaitVersion(ver); err != nil {
+		t.Fatal(err)
+	}
+	if n, age := syncStats(t, s, 2); n != 0 || age != 0 {
+		t.Fatalf("idle rank: sync_waiters %d, sync_oldest_ms %v; want 0, 0", n, age)
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- r.WaitVersion(ver + 1) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n, age := syncStats(t, s, 2)
+		if n == 1 && age > 0 {
+			break
+		}
+		if n > 1 || time.Now().After(deadline) {
+			t.Fatalf("parked wait for v%d: sync_waiters %d, sync_oldest_ms %v; want 1 and a positive age", ver+1, n, age)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if err := w.Put("sw.a", 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n, age := syncStats(t, s, 2); n != 0 || age != 0 {
+		t.Fatalf("after v%d arrived: sync_waiters %d, sync_oldest_ms %v; want 0, 0", ver+1, n, age)
+	}
+}

@@ -76,27 +76,45 @@ type getRespJSON struct {
 	Dir []string        `json:"dir,omitempty"`
 }
 
-// loadBody requests object fault-ins. The batched form (Refs) lets one
-// RPC carry every miss a directory walk discovers, so a deep read costs
-// one upstream round-trip per level instead of one per object; the
-// single-ref form (Ref) is kept so old clients and tests interoperate.
+// loadBody requests object fault-ins: the in-memory form both wire
+// encodings decode to. The batched form lets one RPC carry every miss a
+// directory walk discovers, so a deep read costs one upstream round-trip
+// per level instead of one per object. Single marks a JSON request in
+// the single-ref form (loadBodyJSON.Ref), kept so old clients and tests
+// interoperate; it is answered with the object or ENOENT.
 type loadBody struct {
+	Refs   []cas.Ref
+	Single bool
+}
+
+type loadBodyJSON struct {
 	Ref  string   `json:"ref,omitempty"`
 	Refs []string `json:"refs,omitempty"`
 }
 
-// loadResp answers a loadBody: Data for the single-ref form, Objects
-// (ref-hex -> encoded object) for the batched form. A batched response
-// carries every requested object the responder holds; refs it could not
-// produce are simply absent, and the requester decides which absences
-// are fatal.
+// loadResp answers a loadBody: Objects[i] is the encoded object for the
+// request's Refs[i], nil when the responder could not produce it; the
+// requester decides which absences are fatal. The JSON form
+// (loadRespJSON) carries Data for the single-ref request and otherwise
+// the present objects keyed by hex reference.
 type loadResp struct {
+	Objects [][]byte
+}
+
+type loadRespJSON struct {
 	Data    []byte            `json:"data,omitempty"`
 	Objects map[string][]byte `json:"objects,omitempty"`
 }
 
 type syncBody struct {
 	Version uint64 `json:"version"`
+}
+
+// syncWaiter is a parked kvs.sync request, decoded once on arrival.
+type syncWaiter struct {
+	msg     *wire.Message
+	version uint64    // the version it waits for
+	since   time.Time // when it was parked
 }
 
 // fenceState accumulates fence contributions at one module instance.
@@ -194,7 +212,7 @@ type Module struct {
 	askedRoot bool
 
 	fences map[string]*fenceState
-	syncs  []*wire.Message // kvs.sync requests waiting for a version
+	syncs  []syncWaiter // kvs.sync requests waiting for a version
 
 	// doneFences / doneOrder: master-only reply cache for retried
 	// post-completion fence batches (see doneFence).
@@ -846,18 +864,14 @@ func (m *Module) serveSyncs() {
 		return
 	}
 	keep := m.syncs[:0]
-	for _, req := range m.syncs {
-		var body syncBody
-		if err := req.UnpackJSON(&body); err != nil {
-			m.h.RespondError(req, broker.ErrnoInval, err.Error())
+	for _, w := range m.syncs {
+		if m.version >= w.version {
+			m.h.Respond(w.msg, rootBody{Root: refString(m.root), Version: m.version})
 			continue
 		}
-		if m.version >= body.Version {
-			m.h.Respond(req, rootBody{Root: refString(m.root), Version: m.version})
-			continue
-		}
-		keep = append(keep, req)
+		keep = append(keep, w)
 	}
+	clear(m.syncs[len(keep):]) // drop the answered requests' messages
 	m.syncs = keep
 }
 
@@ -873,7 +887,17 @@ func (m *Module) recvSync(msg *wire.Message) {
 		m.h.Respond(msg, rootBody{Root: refString(m.root), Version: m.version})
 		return
 	}
-	m.syncs = append(m.syncs, msg)
+	m.syncs = append(m.syncs, syncWaiter{msg: msg, version: body.Version, since: time.Now()})
+}
+
+// oldestSyncMs is how long the oldest parked kvs.sync has waited, in
+// milliseconds; 0 with none parked. Waiters are parked in arrival order
+// and compaction keeps it, so the oldest is the first.
+func (m *Module) oldestSyncMs() float64 {
+	if len(m.syncs) == 0 {
+		return 0
+	}
+	return float64(time.Since(m.syncs[0].since).Microseconds()) / 1000
 }
 
 // recvGetroot serves a child module that has no root yet.
@@ -954,18 +978,10 @@ func (m *Module) loadObjects(refs []cas.Ref) error {
 			firstErr = err
 		}
 	}
-	var need []cas.Ref
-	var waits []*flight
-	var seen map[cas.Ref]bool // dedupes refs; a single ref has no duplicate
-	if len(refs) > 1 {
-		seen = make(map[cas.Ref]bool, len(refs))
-	}
+	var miss []cas.Ref
 	for _, ref := range refs {
-		if seen[ref] || m.store.Has(ref) {
+		if m.store.Has(ref) {
 			continue
-		}
-		if seen != nil {
-			seen[ref] = true
 		}
 		if m.disk != nil {
 			// The read-miss tier: an object evicted from memory (or never
@@ -983,27 +999,30 @@ func (m *Module) loadObjects(refs []cas.Ref) error {
 			fail(fmt.Errorf("kvs: object %s not found", ref.Short()))
 			continue
 		}
-		if f, leader := m.flights.begin(ref); leader {
-			need = append(need, ref)
-		} else {
-			m.obsCoalesced.Inc()
-			waits = append(waits, f)
+		if miss == nil {
+			miss = make([]cas.Ref, 0, len(refs))
 		}
+		miss = append(miss, ref)
 	}
-	if len(need) > 0 {
-		errs := m.fetchBatch(need)
-		for _, ref := range need {
-			err := errs[ref]
-			m.flights.finish(ref, err)
-			if err != nil {
+	if len(miss) == 0 {
+		return firstErr
+	}
+	// beginAll drops duplicates, so a ref named twice is fetched or
+	// waited on (and counted) once.
+	f, lead, waits := m.flights.beginAll(miss, m.store.Has)
+	m.obsCoalesced.Add(uint64(len(waits)))
+	if f != nil {
+		errs := m.fetchBatch(lead)
+		m.flights.finishAll(f, lead, errs)
+		for _, ref := range lead {
+			if err := errs[ref]; err != nil {
 				fail(err)
 			}
 		}
 	}
-	for _, f := range waits {
-		<-f.done
-		if f.err != nil {
-			fail(f.err)
+	for _, w := range waits {
+		if err := w.wait(); err != nil {
+			fail(err)
 		}
 	}
 	return firstErr
@@ -1011,55 +1030,61 @@ func (m *Module) loadObjects(refs []cas.Ref) error {
 
 // fetchBatch faults refs in from upstream, at most maxLoadBatch per RPC,
 // verifying and caching every object returned. The per-ref error map
-// holds entries only for refs that failed.
+// holds entries only for refs that failed, and is nil when none did.
 func (m *Module) fetchBatch(refs []cas.Ref) map[cas.Ref]error {
-	errs := map[cas.Ref]error{}
+	var errs map[cas.Ref]error
 	for len(refs) > 0 {
 		chunk := refs
 		if len(chunk) > maxLoadBatch {
 			chunk = chunk[:maxLoadBatch]
 		}
 		refs = refs[len(chunk):]
-		hex := make([]string, len(chunk))
-		for i, ref := range chunk {
-			hex[i] = ref.String()
-		}
 		m.obsBatches.Inc()
 		// Loads are idempotent (content-addressed), so transient route
 		// failures are retried rather than surfaced to the reader.
-		var req any = loadBody{Refs: hex}
+		var req any
 		if m.h.BinaryBodies() {
-			req = loadBody{Refs: hex}.bin()
+			req = loadBody{Refs: chunk}.bin()
+		} else {
+			req = loadBody{Refs: chunk}.jsonForm()
 		}
 		resp, err := m.h.RPCWithOptions(m.ctx, m.cfg.Service+".load", m.upstreamTarget(), req,
 			broker.RPCOptions{Retries: 4, Backoff: 25 * time.Millisecond})
-		if err != nil {
-			for _, ref := range chunk {
-				errs[ref] = err
-			}
-			continue
+		var body loadResp
+		if err == nil {
+			// The objects alias resp's payload, which nothing recycles
+			// while resp is held: PutHashed below is their one copy.
+			body, err = decodeLoadResp(resp, chunk)
 		}
-		body, err := decodeLoadResp(resp)
 		if err != nil {
 			for _, ref := range chunk {
-				errs[ref] = err
+				errs = failRef(errs, ref, err)
 			}
 			continue
 		}
 		for i, ref := range chunk {
-			data, ok := body.Objects[hex[i]]
-			if !ok {
-				errs[ref] = fmt.Errorf("kvs: object %s not found", ref.Short())
+			data := body.Objects[i]
+			if data == nil {
+				errs = failRef(errs, ref, fmt.Errorf("kvs: object %s not found", ref.Short()))
 				continue
 			}
 			if cas.HashOf(data) != ref {
-				errs[ref] = fmt.Errorf("kvs: loaded object fails hash check for %s", ref.Short())
+				errs = failRef(errs, ref, fmt.Errorf("kvs: loaded object fails hash check for %s", ref.Short()))
 				continue
 			}
 			m.obsLoads.Inc()
 			m.store.PutHashed(ref, data)
 		}
 	}
+	return errs
+}
+
+// failRef records err for ref, allocating errs on the first failure.
+func failRef(errs map[cas.Ref]error, ref cas.Ref, err error) map[cas.Ref]error {
+	if errs == nil {
+		errs = make(map[cas.Ref]error)
+	}
+	errs[ref] = err
 	return errs
 }
 
@@ -1075,86 +1100,74 @@ func (m *Module) recvLoad(msg *wire.Message) {
 		m.h.RespondError(msg, broker.ErrnoInval, err.Error())
 		return
 	}
-	single := len(body.Refs) == 0
-	hexes := body.Refs
-	if single {
-		hexes = []string{body.Ref}
-	}
-	refs := make([]cas.Ref, len(hexes))
 	cached := true
-	for i, hx := range hexes {
-		ref, err := cas.ParseRef(hx)
-		if err != nil {
-			m.h.RespondError(msg, broker.ErrnoInval, err.Error())
-			return
+	for _, ref := range body.Refs {
+		if cached = m.store.Has(ref); !cached {
+			break
 		}
-		refs[i] = ref
-		cached = cached && m.store.Has(ref)
 	}
 	// Fast path: every requested object is already cached, so answer
 	// from the Recv goroutine and spare the worker handoff.
 	if cached {
 		start := time.Now()
-		if single {
-			if data, ok := m.store.GetRaw(refs[0]); ok {
-				m.respondLoad(msg, loadResp{Data: data})
-				m.histLoad.Observe(time.Since(start))
-				return
-			}
-		} else {
-			objects := make(map[string][]byte, len(refs))
-			for i, ref := range refs {
-				if data, ok := m.store.GetRaw(ref); ok {
-					objects[hexes[i]] = data
-				}
-			}
-			if len(objects) == len(refs) {
-				m.respondLoad(msg, loadResp{Objects: objects})
-				m.histLoad.Observe(time.Since(start))
-				return
-			}
+		if objs, ok := m.heldObjects(body.Refs); ok {
+			m.respondLoad(msg, body, objs, nil)
+			m.histLoad.Observe(time.Since(start))
+			return
 		}
 		// An eviction raced the Has scan; fall through to the slow path.
 	}
 	m.spawnWorker(func() {
 		start := time.Now()
 		defer func() { m.histLoad.Observe(time.Since(start)) }()
-		err := m.loadObjects(refs)
-		if single {
-			data, ok := m.store.GetRaw(refs[0])
-			if !ok {
-				if err == nil {
-					err = fmt.Errorf("kvs: object %s not found", refs[0].Short())
-				}
-				m.h.RespondError(msg, broker.ErrnoNoEnt, err.Error())
-				return
-			}
-			m.respondLoad(msg, loadResp{Data: data})
-			return
-		}
-		objects := make(map[string][]byte, len(refs))
-		for i, ref := range refs {
-			if data, ok := m.store.GetRaw(ref); ok {
-				objects[hexes[i]] = data
-			}
-		}
-		if len(objects) == 0 && err != nil {
-			m.h.RespondError(msg, broker.ErrnoNoEnt, err.Error())
-			return
-		}
-		m.respondLoad(msg, loadResp{Objects: objects})
+		err := m.loadObjects(body.Refs)
+		objs, _ := m.heldObjects(body.Refs)
+		m.respondLoad(msg, body, objs, err)
 	})
 }
 
-// respondLoad answers a kvs.load in the encoding its request used:
+// heldObjects reads refs from the local store in order, nil where
+// absent; all reports whether every one was present.
+func (m *Module) heldObjects(refs []cas.Ref) (objs [][]byte, all bool) {
+	objs = make([][]byte, len(refs))
+	all = true
+	for i, ref := range refs {
+		var ok bool
+		if objs[i], ok = m.store.GetRaw(ref); !ok {
+			all = false
+		}
+	}
+	return objs, all
+}
+
+// respondLoad answers a kvs.load with objs (the requested objects in
+// request order, nil where absent) in the encoding its request used:
 // binary-coded bodies for binary requests, JSON for everything else, so
-// a JSON-only child of a binary-enabled parent still gets JSON back.
-func (m *Module) respondLoad(msg *wire.Message, resp loadResp) {
+// a JSON-only child of a binary-enabled parent still gets JSON back. A
+// request none of whose objects could be produced is answered ENOENT
+// with err, the fault-in error, when there is one; so is a single-ref
+// request whose object is absent.
+func (m *Module) respondLoad(msg *wire.Message, req loadBody, objs [][]byte, err error) {
+	found := false
+	for _, o := range objs {
+		if o != nil {
+			found = true
+			break
+		}
+	}
+	if !found && (err != nil || req.Single) {
+		if err == nil {
+			err = fmt.Errorf("kvs: object %s not found", req.Refs[0].Short())
+		}
+		m.h.RespondError(msg, broker.ErrnoNoEnt, err.Error())
+		return
+	}
+	resp := loadResp{Objects: objs}
 	if wire.IsBinaryBody(msg.Payload) {
 		m.h.Respond(msg, resp.bin())
 		return
 	}
-	m.h.Respond(msg, resp)
+	m.h.Respond(msg, resp.jsonForm(req))
 }
 
 // respondGet answers a kvs.get in the encoding its request used, like
@@ -1377,6 +1390,8 @@ func (m *Module) recvStats(msg *wire.Message) {
 		"load_batches":    m.obsBatches.Load(),
 		"loads_coalesced": m.obsCoalesced.Load(),
 		"version":         m.version,
+		"sync_waiters":    len(m.syncs),
+		"sync_oldest_ms":  m.oldestSyncMs(),
 		"hists":           hists,
 	}
 	if m.disk != nil {

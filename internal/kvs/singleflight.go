@@ -14,6 +14,11 @@ import (
 // waiter is satisfied by whichever fetch completes — this is pure
 // de-duplication, with no staleness hazard.
 //
+// A leader registers a whole batch at once: every ref it leads shares
+// one flight, so a batch costs one allocation and one lock round-trip
+// whatever its size, and a waiter reads its own ref's result from the
+// flight's per-ref errors.
+//
 // A hand-rolled implementation (mutex + map + channel) is used because
 // the module only needs begin/finish semantics and the repo takes no
 // external dependencies.
@@ -22,37 +27,86 @@ type flightGroup struct {
 	m  map[cas.Ref]*flight
 }
 
-// flight is one in-progress fault. done is closed by the leader after
-// the object is in the local store (err == nil) or the fetch failed.
+// flight is one leader's in-progress fetch of a batch of refs. done is
+// closed by the leader once every ref it leads is in the local store or
+// has failed; errs then holds the failures by ref (nil if none failed).
 type flight struct {
 	done chan struct{}
-	err  error
+	errs map[cas.Ref]error
 }
 
-// begin registers interest in ref. leader is true when the caller must
-// fetch the object and later call finish; otherwise the returned flight
-// is an existing fetch the caller can wait on.
-func (g *flightGroup) begin(ref cas.Ref) (f *flight, leader bool) {
+// joined is a ref whose fetch another goroutine leads.
+type joined struct {
+	ref cas.Ref
+	f   *flight
+}
+
+// wait blocks until the leader finishes and returns ref's own result: a
+// failure of another ref in the same batch is not this ref's.
+func (j joined) wait() error {
+	<-j.f.done
+	return j.f.errs[j.ref]
+}
+
+// beginAll registers interest in refs. It returns the refs the caller
+// now leads, each once however often it appears in refs, built in place
+// over refs' backing array; the flight they share (nil when the caller
+// leads none); and the refs already being fetched by another leader,
+// each once, to wait on. A caller that leads any ref must fetch them and
+// then call finishAll exactly once.
+//
+// present reports whether a ref is already held. It is asked, under the
+// group's lock, about every ref no flight covers: a leader stores its
+// objects before finishAll takes them out of the map, so a ref whose
+// leader finished after the caller last looked is seen here and neither
+// fetched nor counted twice.
+func (g *flightGroup) beginAll(refs []cas.Ref, present func(cas.Ref) bool) (f *flight, lead []cas.Ref, waits []joined) {
+	lead = refs[:0]
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.m == nil {
 		g.m = map[cas.Ref]*flight{}
 	}
-	if f, ok := g.m[ref]; ok {
-		return f, false
+	for _, ref := range refs {
+		other, ok := g.m[ref]
+		switch {
+		case !ok:
+			if present(ref) {
+				continue
+			}
+			if f == nil {
+				f = &flight{done: make(chan struct{})}
+			}
+			g.m[ref] = f
+			lead = append(lead, ref)
+		case other != f && !hasJoined(waits, ref):
+			waits = append(waits, joined{ref: ref, f: other})
+		}
 	}
-	f = &flight{done: make(chan struct{})}
-	g.m[ref] = f
-	return f, true
+	return f, lead, waits
 }
 
-// finish resolves ref's flight with err and wakes every waiter. Only
-// the leader returned by begin may call it, exactly once.
-func (g *flightGroup) finish(ref cas.Ref, err error) {
+// hasJoined reports whether ref is already among waits. A call carries
+// at most maxLoadBatch refs (decodeLoadBody and prefetchDir bound them),
+// so the scan stays cheaper than a per-call set.
+func hasJoined(waits []joined, ref cas.Ref) bool {
+	for _, w := range waits {
+		if w.ref == ref {
+			return true
+		}
+	}
+	return false
+}
+
+// finishAll resolves f, the flight of the refs lead returned by
+// beginAll, with errs (the failed refs; nil if none) and wakes every
+// waiter. Only that leader may call it, exactly once.
+func (g *flightGroup) finishAll(f *flight, lead []cas.Ref, errs map[cas.Ref]error) {
 	g.mu.Lock()
-	f := g.m[ref]
-	delete(g.m, ref)
+	for _, ref := range lead {
+		delete(g.m, ref)
+	}
 	g.mu.Unlock()
-	f.err = err
+	f.errs = errs
 	close(f.done)
 }

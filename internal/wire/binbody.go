@@ -98,7 +98,8 @@ type BinReader struct {
 // NewBinReader sniffs payload: ok is false when it does not carry a
 // binary body (the caller falls back to JSON). The reader aliases
 // payload; Bytes/BytesMap copy out, so decoded values are safe to
-// retain even when payload lives in a pooled receive buffer.
+// retain even when payload lives in a pooled receive buffer. View does
+// not: see its contract.
 func NewBinReader(payload []byte) (*BinReader, bool) {
 	if !IsBinaryBody(payload) {
 		return nil, false
@@ -150,6 +151,19 @@ func (r *BinReader) Bytes() []byte {
 		return nil
 	}
 	return append([]byte(nil), b...)
+}
+
+// View reads a length-prefixed byte field without copying it: the
+// result aliases the payload and is valid only while the payload is.
+// It is for a caller that copies what it keeps anyway (a store insert,
+// say) and holds the message until it is done with the field. An empty
+// field reads as nil.
+func (r *BinReader) View() []byte {
+	b := r.take(r.uvarint())
+	if len(b) == 0 {
+		return nil
+	}
+	return b[:len(b):len(b)]
 }
 
 // Fixed reads a length-prefixed byte field of exactly len(dst) bytes

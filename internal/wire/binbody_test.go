@@ -110,6 +110,39 @@ func TestBinBytesCopiedOut(t *testing.T) {
 	}
 }
 
+// TestBinView: View reads a field in place — no copy, so a change to
+// the payload shows through — capped at the field, so an append to it
+// cannot overwrite the next field; an empty field reads nil and a field
+// longer than the body is a decode error.
+func TestBinView(t *testing.T) {
+	w := NewBinWriter(16)
+	w.Bytes([]byte("view"))
+	w.Bytes(nil)
+	w.String("next")
+	body := w.Finish()
+	r, _ := NewBinReader(body)
+	got := r.View()
+	if string(got) != "view" || cap(got) != len(got) {
+		t.Fatalf("View = %q (cap %d), want %q capped at its length", got, cap(got), "view")
+	}
+	if empty := r.View(); empty != nil {
+		t.Fatalf("empty field viewed as %q, want nil", empty)
+	}
+	_ = append(got, "XXXX"...)
+	if next := r.String(); next != "next" || r.Err() != nil {
+		t.Fatalf("field after the views = %q, %v", next, r.Err())
+	}
+	body[2] = 'V'
+	if string(got) != "View" {
+		t.Fatalf("View copied the payload: %q after it changed", got)
+	}
+
+	short, _ := NewBinReader([]byte{BinMagic, 5, 'a'})
+	if b := short.View(); b != nil || short.Err() == nil {
+		t.Fatalf("overlong field viewed as %q, err %v", b, short.Err())
+	}
+}
+
 // TestRawBodyPassthrough: RawBody payloads ride the JSON constructors
 // verbatim — how binary bodies reach NewRequest/NewResponse.
 func TestRawBodyPassthrough(t *testing.T) {
