@@ -55,8 +55,9 @@ chaos:
 
 # Fuzzing, 10 s per target: the binary kvs.fence body (FuzzFenceBody),
 # the kvs.load request and response bodies (FuzzLoadBody), the in-place
-# directory readers (FuzzDirLookup) and the merge write path against
-# the map-based reference (FuzzApplyOps).
+# directory readers (FuzzDirLookup), the merge write path against
+# the map-based reference (FuzzApplyOps) and the broker's event
+# recipient table against the per-event scan (FuzzEventRecipients).
 # Minimising each new input is capped at 200 runs, so a large seed
 # (a 256-entry fence batch) cannot stall a target's time budget.
 fuzz:
@@ -64,6 +65,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadBody$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/kvs/
 	$(GO) test -run '^$$' -fuzz '^FuzzDirLookup$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/cas/
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyOps$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/kvs/
+	$(GO) test -run '^$$' -fuzz '^FuzzEventRecipients$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/broker/
 
 # Durability gate: the WAL truncation sweep, the restart protocol tests,
 # and the seeded crash-restart soak (kill/crash/restart of ranks and

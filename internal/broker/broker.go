@@ -296,6 +296,10 @@ type counters struct {
 	drains              *obs.Counter
 	epochRejects        *obs.Counter
 
+	// One per recipient-table entry built (see recipientsLocked): zero
+	// while the subscription state holds still.
+	recipientRebuilds *obs.Counter
+
 	// Silent-drop observability: each logf-only drop path also counts,
 	// mirroring the epoch-discipline rule for fenced messages.
 	dropsUnknownType    *obs.Counter
@@ -404,6 +408,13 @@ type Broker struct {
 	eventSeq     uint64     // root only: last assigned sequence number (guarded by evMu)
 	lastEventSeq uint64     // last applied sequence number (guarded by mu)
 	eventHist    []eventRec // recent events + shared encodings (guarded by mu)
+
+	// Recipient table (recipients.go): recipGen counts changes to who
+	// receives an event; recipTab maps a topic to its recipients as of
+	// generation recipAt (both guarded by evMu).
+	recipGen atomic.Uint64
+	recipAt  uint64
+	recipTab map[string]*eventRecipients
 
 	// binBodies selects the encoding of the hot services' bodies
 	// (kvs.get/load/put, barrier enter, cmb.pub): the length-prefixed
@@ -581,24 +592,28 @@ func (b *Broker) shardOfFlow(key string, seq uint64) int {
 	return int(h % uint64(b.nshards))
 }
 
-// publishLinksLocked republishes the lock-free link-registry snapshot;
-// call with b.mu held after any mutation of b.links.
+// publishLinksLocked republishes the lock-free link-registry snapshot
+// and invalidates the event recipient table; call with b.mu held after
+// any mutation of b.links.
 func (b *Broker) publishLinksLocked() {
 	snap := make(map[string]*link, len(b.links))
 	for id, l := range b.links {
 		snap[id] = l
 	}
 	b.linksSnap.Store(&snap)
+	b.invalidateRecipients()
 }
 
 // publishModulesLocked republishes the lock-free module-registry
-// snapshot; call with b.mu held after any mutation of b.modules.
+// snapshot and invalidates the event recipient table; call with b.mu
+// held after any mutation of b.modules.
 func (b *Broker) publishModulesLocked() {
 	snap := make(map[string]*moduleRunner, len(b.modules))
 	for name, r := range b.modules {
 		snap[name] = r
 	}
 	b.modsSnap.Store(&snap)
+	b.invalidateRecipients()
 }
 
 // New creates a broker for the given rank. Links are attached afterwards
@@ -636,6 +651,7 @@ func New(cfg Config) (*Broker, error) {
 		ring:       ring,
 		links:      make(map[string]*link),
 		modules:    make(map[string]*moduleRunner),
+		recipTab:   make(map[string]*eventRecipients),
 		parentRank: tree.Parent(cfg.Rank),
 		done:       make(chan struct{}),
 	}
@@ -695,6 +711,8 @@ func New(cfg Config) (*Broker, error) {
 		leaves:              reg.Counter(wire.MetricLeaves),
 		drains:              reg.Counter(wire.MetricDrains),
 		epochRejects:        reg.Counter(wire.MetricEpochRejects),
+
+		recipientRebuilds: reg.Counter(wire.MetricEventRecipientRebuilds),
 
 		dropsUnknownType:    reg.Counter(wire.MetricDropsUnknownType),
 		dropsEmptyRoute:     reg.Counter(wire.MetricDropsEmptyRoute),
@@ -944,7 +962,9 @@ func (b *Broker) AttachPendingConn(kind LinkKind, c transport.Conn) {
 func (b *Broker) attachConn(kind LinkKind, c transport.Conn, pending bool) {
 	l := &link{kind: kind, id: kind.prefix() + c.PeerIdentity(), conn: c}
 	if kind == LinkChildEvent {
-		l.gated = true // opened by the child's cmb.resync
+		// Opened by the child's cmb.resync. The registry republish below
+		// invalidates the recipient table for the new, gated link.
+		l.gated = true
 	}
 	if pending {
 		l.pending.Store(true)
@@ -1137,17 +1157,14 @@ func (b *Broker) routeRequest(in inbound) {
 			outLink, errnum = b.forwardUpstream(m, arrival)
 			break
 		}
-		if svc := m.Service(); b.dispatchLocal(m) {
-			outLink = "local:" + svc
+		if outLink = b.dispatchLocal(m); outLink != "" {
 			break
 		}
 		outLink, errnum = b.forwardUpstream(m, arrival)
 	case int(m.Nodeid) == b.cfg.Rank:
-		if svc := m.Service(); b.dispatchLocal(m) {
-			outLink = "local:" + svc
-		} else {
+		if outLink = b.dispatchLocal(m); outLink == "" {
 			errnum = ErrnoNoSys
-			b.respondErr(m, ErrnoNoSys, fmt.Sprintf("no module %q at rank %d", svc, b.cfg.Rank))
+			b.respondErr(m, ErrnoNoSys, fmt.Sprintf("no module %q at rank %d", m.Service(), b.cfg.Rank))
 		}
 	case int(m.Nodeid) < b.RankSpace() || !b.IsRoot():
 		// Rank-addressed: forward on the ring overlay. A broker other
@@ -1209,23 +1226,31 @@ func queueWait(enq, start time.Time) time.Duration {
 	return 0
 }
 
+// spanLocalCMB is the request span's Link for the built-in cmb service.
+const spanLocalCMB = "local:" + wire.ServiceCMB
+
 // dispatchLocal delivers m to a local comms module or the built-in cmb
-// service. It reports whether a local service matched.
-func (b *Broker) dispatchLocal(m *wire.Message) bool {
+// service. It returns the request span's Link for the local service
+// that took m ("local:<service>"), or "" when none matched and m is
+// still the caller's.
+func (b *Broker) dispatchLocal(m *wire.Message) string {
 	svc := m.Service()
 	if svc == wire.ServiceCMB {
-		return b.builtinRequest(m)
+		if b.builtinRequest(m) {
+			return spanLocalCMB
+		}
+		return ""
 	}
 	snap := b.modsSnap.Load()
 	if snap == nil {
-		return false
+		return ""
 	}
 	r, ok := (*snap)[svc]
 	if !ok {
-		return false
+		return ""
 	}
 	r.inbox.Push(m)
-	return true
+	return r.span
 }
 
 // forwardUpstream sends m toward the root, or answers ENOSYS at the
@@ -1448,6 +1473,7 @@ func (b *Broker) handleControl(in inbound) {
 			if err := in.msg.UnpackJSON(&body); err == nil {
 				b.mu.Lock()
 				in.from.subs = append(in.from.subs, body.Prefix)
+				b.invalidateRecipients()
 				b.mu.Unlock()
 			}
 		}
@@ -1465,6 +1491,7 @@ func (b *Broker) handleControl(in inbound) {
 					}
 				}
 				in.from.subs = subs
+				b.invalidateRecipients()
 				b.mu.Unlock()
 			}
 		}

@@ -287,47 +287,16 @@ func (b *Broker) applyEventLocked(ev *wire.Message) {
 	// one hop upstream (after the lock below is released).
 	heartbeat := ev.Topic == wire.EventHeartbeat
 
-	// Snapshot recipients under the lock; deliver outside it.
-	var mods []*moduleRunner
-	for _, r := range b.modules {
-		for _, p := range r.subs {
-			if matchTopic(p, ev.Topic) {
-				mods = append(mods, r)
-				break
-			}
-		}
-	}
-	var local []*link
-	var down []*link
-	frameTargets := 0
-	for _, l := range b.links {
-		switch l.kind {
-		case linkHandle:
-			if l.h.wantsEvent(ev.Topic) {
-				local = append(local, l)
-			}
-		case LinkClient:
-			for _, p := range l.subs {
-				if matchTopic(p, ev.Topic) {
-					local = append(local, l)
-					break
-				}
-			}
-		case LinkChildEvent:
-			if !l.gated {
-				down = append(down, l)
-				if _, ok := l.conn.(transport.FrameSender); ok {
-					frameTargets++
-				}
-			}
-		}
-	}
+	// Recipients come from the per-topic table under the lock (a map
+	// hit while nobody subscribes, attaches or resyncs); delivery runs
+	// outside it.
+	rcpt := b.recipientsLocked(ev.Topic)
 	// Encode once: if any child link can ship raw frames, marshal the
 	// event a single time and let every such link (plus future resync
 	// replays) share the bytes. Marshal failure just falls back to
 	// per-link Send, which will surface the same error.
 	var frame *wire.Frame
-	if frameTargets > 0 {
+	if rcpt.frameTargets > 0 {
 		if f, err := wire.NewFrame(ev); err == nil {
 			frame = f
 		}
@@ -349,13 +318,13 @@ func (b *Broker) applyEventLocked(ev *wire.Message) {
 	// local handles: a request a handle sends after seeing ev then queues
 	// behind ev in the module's single inbox FIFO (event->request
 	// causality, DESIGN.md §14).
-	for _, r := range mods {
+	for _, r := range rcpt.mods {
 		r.inbox.Push(ev)
 	}
-	for _, l := range local {
+	for _, l := range rcpt.local {
 		b.send(l, ev)
 	}
-	for _, l := range down {
+	for _, l := range rcpt.down {
 		if fs, ok := l.conn.(transport.FrameSender); ok && frame != nil {
 			b.sendFrame(l, fs, frame)
 		} else {
@@ -364,8 +333,8 @@ func (b *Broker) applyEventLocked(ev *wire.Message) {
 	}
 	if frame != nil {
 		b.ctr.eventsFanoutEncodes.Inc()
-		if frameTargets > 1 {
-			b.ctr.eventsFanoutReuse.Add(uint64(frameTargets - 1))
+		if rcpt.frameTargets > 1 {
+			b.ctr.eventsFanoutReuse.Add(uint64(rcpt.frameTargets - 1))
 		}
 	}
 
@@ -379,7 +348,7 @@ func (b *Broker) applyEventLocked(ev *wire.Message) {
 		b.traces.Append(obs.Span{
 			Trace: ev.TraceID, Rank: b.cfg.Rank, Hop: uint8(hop), Parent: uint8(hop - 1),
 			Kind: "event", Topic: ev.Topic,
-			Link:   fmt.Sprintf("down:%d local:%d", len(down), len(mods)+len(local)),
+			Link:   rcpt.span,
 			WorkNS: int64(work), StartNS: start.UnixNano(),
 		})
 	}
@@ -435,6 +404,7 @@ func (b *Broker) replayEvents(l *link, last uint64) {
 		}
 	}
 	l.gated = false
+	b.invalidateRecipients()
 	b.mu.Unlock()
 	var reused uint64
 	for _, rec := range replay {

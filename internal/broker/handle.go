@@ -393,14 +393,21 @@ func (h *Handle) ForwardUpstream(req *wire.Message) error {
 }
 
 // PublishEvent publishes an event session-wide via the root sequencer
-// and returns the assigned sequence number.
+// and returns the assigned sequence number. A wire.RawBody body is the
+// payload verbatim (a binary one needs BinaryBodies: the JSON cmb.pub
+// envelope carries only JSON); any other body is JSON-encoded.
 func (h *Handle) PublishEvent(topic string, body any) (uint64, error) {
 	if body == nil {
 		body = struct{}{}
 	}
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return 0, fmt.Errorf("broker: publish %s: %w", topic, err)
+	var raw []byte
+	if pre, ok := body.(wire.RawBody); ok {
+		raw = pre
+	} else {
+		var err error
+		if raw, err = json.Marshal(body); err != nil {
+			return 0, fmt.Errorf("broker: publish %s: %w", topic, err)
+		}
 	}
 	var req any = pubBody{Topic: topic, Payload: raw}
 	if h.b.binBodies.Load() {
@@ -454,6 +461,7 @@ func (s *Subscription) Close() {
 		}
 		h.prefixes = prefixes
 		h.mu.Unlock()
+		h.b.invalidateRecipients()
 		s.mb.Close()
 	})
 }
@@ -472,6 +480,9 @@ func (h *Handle) Subscribe(prefix string) (*Subscription, error) {
 	h.subs = append(h.subs, s)
 	h.prefixes = append(h.prefixes, prefix)
 	h.mu.Unlock()
+	// After the prefix is in place: an event whose recipients are picked
+	// after this bump sees the subscription.
+	h.b.invalidateRecipients()
 	return s, nil
 }
 

@@ -48,6 +48,7 @@ type IdleBatcher interface {
 type moduleRunner struct {
 	mod   Module
 	subs  []string
+	span  string // request span's Link for this module: "local:<name>"
 	inbox *Mailbox[*wire.Message]
 	h     *Handle
 	done  chan struct{}
@@ -61,6 +62,7 @@ func (b *Broker) LoadModule(m Module) error {
 	r := &moduleRunner{
 		mod:   m,
 		subs:  m.Subscriptions(),
+		span:  "local:" + m.Name(),
 		inbox: NewMailbox[*wire.Message](),
 		done:  make(chan struct{}),
 	}

@@ -21,6 +21,47 @@ func (b putBody) bin() wire.RawBody {
 	return w.Finish()
 }
 
+// setrootBin is the binary kvs.setroot event body: the root's raw
+// reference bytes (none while the store is empty), then the version.
+// Every rank decodes every setroot, so the body carries no hex and no
+// JSON.
+func setrootBin(root cas.Ref, version uint64) wire.RawBody {
+	w := wire.NewBinWriter(cas.RefLen + 12)
+	if root.IsZero() {
+		w.Bytes(nil)
+	} else {
+		w.Bytes(root[:])
+	}
+	w.Uint(version)
+	return w.Finish()
+}
+
+// decodeSetroot reads a kvs.setroot event body in either encoding: the
+// binary form, or the JSON rootBody a JSON-only master publishes.
+func decodeSetroot(m *wire.Message) (root cas.Ref, version uint64, err error) {
+	if r, ok := wire.NewBinReader(m.Payload); ok {
+		raw := r.View()
+		version = r.Uint()
+		if err := r.Err(); err != nil {
+			return root, 0, err
+		}
+		switch len(raw) {
+		case 0:
+		case cas.RefLen:
+			copy(root[:], raw)
+		default:
+			return root, 0, fmt.Errorf("kvs: setroot ref field of %d bytes, want 0 or %d", len(raw), cas.RefLen)
+		}
+		return root, version, nil
+	}
+	var body rootBody
+	if err := m.UnpackJSON(&body); err != nil {
+		return root, 0, err
+	}
+	root, err = parseRootRef(body.Root)
+	return root, body.Version, err
+}
+
 func decodePutBody(m *wire.Message) (body putBody, err error) {
 	if r, ok := wire.NewBinReader(m.Payload); ok {
 		body.Key = r.String()

@@ -2,6 +2,7 @@ package kvs
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 	"unicode/utf8"
 
 	"fluxgo/internal/broker"
@@ -836,5 +838,88 @@ func TestLoadBatchesThroughJSONInteriorRank(t *testing.T) {
 	// values.
 	if perRank := uint64(2 * (2 + entries)); want[2] != 6*perRank {
 		t.Fatalf("all-binary session faulted in %d objects, want %d (6 ranks x %d)", want[2], 6*perRank, perRank)
+	}
+}
+
+// TestSetrootBody: the binary kvs.setroot body round-trips the empty
+// and a real root, the JSON form decodes to the same values, and a
+// reference field that is neither empty nor 20 bytes, or a truncated
+// body, is an error.
+func TestSetrootBody(t *testing.T) {
+	ref := cas.HashOf([]byte("root"))
+	for _, tc := range []struct {
+		root    cas.Ref
+		version uint64
+	}{{cas.Ref{}, 0}, {cas.Ref{}, 7}, {ref, 1}, {ref, 1 << 40}} {
+		bin := &wire.Message{Payload: setrootBin(tc.root, tc.version)}
+		if !wire.IsBinaryBody(bin.Payload) {
+			t.Fatalf("setrootBin(%s, %d) is not a binary body", tc.root, tc.version)
+		}
+		if len(bin.Payload) > 1+1+cas.RefLen+binary.MaxVarintLen64 {
+			t.Fatalf("setrootBin is %d bytes", len(bin.Payload))
+		}
+		js, err := wire.NewResponse(&wire.Message{Type: wire.Request, Topic: "kvs.setroot"},
+			rootBody{Root: refString(tc.root), Version: tc.version})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []*wire.Message{bin, js} {
+			root, version, err := decodeSetroot(m)
+			if err != nil || root != tc.root || version != tc.version {
+				t.Fatalf("decodeSetroot(%q) = %s, %d, %v; want %s, %d", m.Payload, root, version, err, tc.root, tc.version)
+			}
+		}
+	}
+	w := wire.NewBinWriter(16)
+	w.Bytes([]byte("short"))
+	w.Uint(3)
+	for _, bad := range [][]byte{w.Finish(), setrootBin(ref, 9)[:10], []byte(`{"root":"zz","version":1}`)} {
+		if _, _, err := decodeSetroot(&wire.Message{Payload: bad}); err == nil {
+			t.Fatalf("decodeSetroot(%q) accepted a malformed body", bad)
+		}
+	}
+}
+
+// TestSetrootMixedEncodings: a binary master's setroot is decoded by a
+// JSON-only slave, and a JSON-only master's by binary slaves, both by
+// the module (kvs.sync parks until the setroot lands: no heartbeat
+// runs, so no root poll can stand in) and by Client.Watch.
+func TestSetrootMixedEncodings(t *testing.T) {
+	for _, jsonRank := range []int{0, 3} {
+		t.Run(fmt.Sprintf("json-rank-%d", jsonRank), func(t *testing.T) {
+			s := newKVSSession(t, 4, 2)
+			s.Broker(jsonRank).SetBinaryBodies(false)
+			wc := client(t, s, 3)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ch, err := wc.Watch(ctx, "mixed.key")
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-ch // initial state
+			w := client(t, s, 1)
+			for v := 1; v <= 3; v++ {
+				if err := w.Put("mixed.key", v); err != nil {
+					t.Fatal(err)
+				}
+				ver, err := w.Commit()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; r < 4; r++ {
+					if err := client(t, s, r).WaitVersion(ver); err != nil {
+						t.Fatalf("rank %d: wait for version %d: %v", r, ver, err)
+					}
+				}
+				select {
+				case u := <-ch:
+					if u.Version != ver || string(u.Val) != fmt.Sprint(v) {
+						t.Fatalf("watch update %+v, want version %d value %d", u, ver, v)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("no watch update for version %d", ver)
+				}
+			}
+		})
 	}
 }

@@ -378,11 +378,11 @@ func (c *Client) Watch(ctx context.Context, key string) (<-chan WatchUpdate, err
 				if !ok {
 					return
 				}
-				var body rootBody
-				if err := ev.UnpackJSON(&body); err != nil {
+				_, version, err := decodeSetroot(ev)
+				if err != nil {
 					continue
 				}
-				cur := state(body.Version)
+				cur := state(version)
 				if cur.Ref == last.Ref && cur.Exists == last.Exists {
 					continue // unchanged under this root
 				}

@@ -156,7 +156,10 @@ func runTrace(t *testing.T, seed int64, jsonOnly bool) traceLog {
 	for uint64(len(log.Events)) < version {
 		select {
 		case ev := <-sub.Chan():
-			log.Events = append(log.Events, fmt.Sprintf("seq %d %s %s", ev.Seq, ev.Topic, ev.Payload))
+			// Compared decoded: the body's bytes are the codec's, which is
+			// the one thing allowed to differ.
+			root, ver, err := decodeSetroot(ev)
+			log.Events = append(log.Events, fmt.Sprintf("seq %d %s root %s version %d err %v", ev.Seq, ev.Topic, root, ver, err))
 		case <-time.After(10 * time.Second):
 			t.Fatalf("rank 5 saw %d of %d setroot events", len(log.Events), version)
 		}

@@ -1,10 +1,13 @@
 package kvs
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"fluxgo/internal/broker"
 	"fluxgo/internal/cas"
+	"fluxgo/internal/session"
 	"fluxgo/internal/wire"
 )
 
@@ -174,5 +177,77 @@ func TestFenceObjectHashMismatch(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFenceThroughDyingAggregator: an interior rank that dies while it
+// holds a child's fence batch must not fail the fence. Its broker's
+// shutdown fails the module's handle first, so the batch it forwards
+// upstream fails with a shutdown error while its module and child link
+// still answer; the held batch must then get a retryable errno, so the
+// leaf's retry reaches the master through its adoptive parent. The test
+// freezes rank 1 at exactly that point (its kvs handle closed, the rest
+// alive) until the leaf has had its answer, then kills it.
+func TestFenceThroughDyingAggregator(t *testing.T) {
+	var mu sync.Mutex
+	mods := map[int]*Module{}
+	s, err := session.New(session.Options{
+		Size:  4, // rank 3's parent is rank 1, whose parent is the master
+		Arity: 2,
+		Modules: []session.ModuleFactory{func(rank, size int) broker.Module {
+			m := NewModule(ModuleConfig{})
+			mu.Lock()
+			mods[rank] = m
+			mu.Unlock()
+			return m
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	leaf, root := client(t, s, 3), client(t, s, 0)
+	if err := leaf.Put("dying.leaf", 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Put("dying.root", 0); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	aggregator := mods[1]
+	mu.Unlock()
+	aggregator.h.Close()
+
+	type result struct {
+		ver uint64
+		err error
+	}
+	results := make(chan result, 2)
+	for _, c := range []*Client{leaf, root} {
+		go func(c *Client) {
+			v, err := c.Fence("dying", 2)
+			results <- result{v, err}
+		}(c)
+	}
+	// The leaf's batch meets the failing aggregator at once; give the
+	// answer time to come back before rank 1 goes.
+	time.Sleep(200 * time.Millisecond)
+	if err := s.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case r := <-results:
+			if r.err != nil || r.ver != 1 {
+				t.Fatalf("fence participant: version %d, %v; want version 1", r.ver, r.err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("fence did not complete")
+		}
+	}
+	var got int
+	if err := root.Get("dying.leaf", &got); err != nil || got != 3 {
+		t.Fatalf("dying.leaf = %d (%v), want 3", got, err)
 	}
 }

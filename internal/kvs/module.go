@@ -468,6 +468,14 @@ func refString(r cas.Ref) string {
 	return r.String()
 }
 
+// parseRootRef is refString's inverse: "" is the empty store's zero ref.
+func parseRootRef(s string) (cas.Ref, error) {
+	if s == "" {
+		return cas.Ref{}, nil
+	}
+	return cas.ParseRef(s)
+}
+
 // recvPut caches a dirty value object locally, in write-back mode: the
 // data is not flushed upstream until the owning client commits or fences.
 func (m *Module) recvPut(msg *wire.Message) {
@@ -611,7 +619,11 @@ func (m *Module) maybeCompleteFence(name string, st *fenceState) {
 	m.root = newRoot
 	m.version++
 	resp := rootBody{Root: refString(m.root), Version: m.version}
-	if _, err := m.h.PublishEvent(m.setrootTopic(), resp); err != nil && !broker.ErrShutdown(err) {
+	var setroot any = resp
+	if m.h.BinaryBodies() {
+		setroot = setrootBin(m.root, m.version)
+	}
+	if _, err := m.h.PublishEvent(m.setrootTopic(), setroot); err != nil && !broker.ErrShutdown(err) {
 		// The root update is already applied locally; slaves will learn
 		// of it from the next successful publication or a root poll.
 		_ = err
@@ -732,6 +744,20 @@ func (m *Module) Idle() {
 	}
 }
 
+// fenceDoneBody is the kvs.fencedone self-send: how a forwarded fence
+// batch ended.
+type fenceDoneBody struct {
+	Name  string `json:"name"`
+	Error string `json:"error,omitempty"`
+	// Transient marks an error the children may retry: this rank's
+	// broker is shutting down or the upstream route failed transiently,
+	// so a child's retry (deduplicated by entry ID) can still complete
+	// the fence through its adoptive parent.
+	Transient bool   `json:"transient,omitempty"`
+	Root      string `json:"root"`
+	Version   uint64 `json:"version"`
+}
+
 // sendFenceBatch forwards one aggregate upstream and re-injects the
 // completion through the broker so fence state stays single-threaded.
 // Transient routing failures (a parent crash mid-fence, a deadline hit
@@ -745,30 +771,26 @@ func (m *Module) sendFenceBatch(batch fenceBody) {
 	}
 	resp, err := m.h.RPCWithOptions(context.Background(), m.cfg.Service+".fence", m.upstreamTarget(), req,
 		broker.RPCOptions{Retries: 6, Backoff: 25 * time.Millisecond})
-	done := rootBody{}
-	status := ""
+	done := fenceDoneBody{Name: batch.Name}
 	if err != nil {
-		status = err.Error()
-	} else if uerr := resp.UnpackJSON(&done); uerr != nil {
-		status = uerr.Error()
+		done.Error = err.Error()
+		done.Transient = broker.ErrShutdown(err) || broker.IsTransient(err)
+	} else {
+		var root rootBody
+		if uerr := resp.UnpackJSON(&root); uerr != nil {
+			done.Error = uerr.Error()
+		}
+		done.Root, done.Version = root.Root, root.Version
 	}
-	m.h.Send(m.cfg.Service+".fencedone", uint32(m.h.Rank()), struct {
-		Name    string `json:"name"`
-		Error   string `json:"error,omitempty"`
-		Root    string `json:"root"`
-		Version uint64 `json:"version"`
-	}{batch.Name, status, done.Root, done.Version})
+	m.h.Send(m.cfg.Service+".fencedone", uint32(m.h.Rank()), done)
 }
 
 // recvFenceDone completes a fence at a slave: every request held for the
-// fence is answered with the (shared) completion result.
+// fence is answered with the (shared) completion result. A transient
+// failure is answered with EHOSTUNREACH, which the children retry; any
+// other failure with EPROTO, which they do not.
 func (m *Module) recvFenceDone(msg *wire.Message) {
-	var body struct {
-		Name    string `json:"name"`
-		Error   string `json:"error"`
-		Root    string `json:"root"`
-		Version uint64 `json:"version"`
-	}
+	var body fenceDoneBody
 	if err := msg.UnpackJSON(&body); err != nil {
 		return
 	}
@@ -778,8 +800,12 @@ func (m *Module) recvFenceDone(msg *wire.Message) {
 	}
 	delete(m.fences, body.Name)
 	if body.Error != "" {
+		errnum := int32(broker.ErrnoProto)
+		if body.Transient {
+			errnum = broker.ErrnoHostUnreach
+		}
 		for _, req := range st.pending {
-			m.h.RespondError(req, broker.ErrnoProto, body.Error)
+			m.h.RespondError(req, errnum, body.Error)
 		}
 		return
 	}
@@ -836,25 +862,24 @@ func (m *Module) recvRootUpdate(msg *wire.Message) {
 // wakes any sync waiters. Because events are applied in sequence order,
 // versions never go backwards — monotonic read consistency.
 func (m *Module) recvSetroot(msg *wire.Message) {
-	var body rootBody
-	if err := msg.UnpackJSON(&body); err != nil {
-		return
+	if root, version, err := decodeSetroot(msg); err == nil {
+		m.adoptRef(root, version)
 	}
-	m.adoptRoot(body)
 }
 
+// adoptRoot adopts a root heard in the JSON (hex) form.
 func (m *Module) adoptRoot(body rootBody) {
-	if body.Version <= m.version {
+	if root, err := parseRootRef(body.Root); err == nil {
+		m.adoptRef(root, body.Version)
+	}
+}
+
+func (m *Module) adoptRef(root cas.Ref, version uint64) {
+	if version <= m.version {
 		return // stale or duplicate
 	}
-	if body.Root == "" {
-		m.root = cas.Ref{}
-	} else if ref, err := cas.ParseRef(body.Root); err == nil {
-		m.root = ref
-	} else {
-		return
-	}
-	m.version = body.Version
+	m.root = root
+	m.version = version
 	m.serveSyncs()
 }
 

@@ -226,6 +226,10 @@ const (
 	MetricEventsFanoutEncodes = "cmb.events_fanout_encodes"
 	MetricEventsFanoutReuse   = "cmb.events_fanout_reuse"
 
+	// Event recipient-table entries built: one per topic after each
+	// change to who receives events, none while subscriptions hold still.
+	MetricEventRecipientRebuilds = "cmb.events_recipient_rebuilds"
+
 	MetricRequestQueueNS  = "cmb.request_queue_ns"
 	MetricRouteRequestNS  = "cmb.route_request_ns"
 	MetricRouteResponseNS = "cmb.route_response_ns"
