@@ -121,22 +121,27 @@ type SessionOptions struct {
 // (resrc, job) rooted at rank 0.
 func NewSession(opts SessionOptions) (*Session, error) {
 	return session.New(session.Options{
-		Size:  opts.Size,
-		Arity: opts.Arity,
-		Clock: opts.Clock,
-		Codec: opts.Codec,
-		Modules: []session.ModuleFactory{
-			kvs.Factory(kvs.ModuleConfig{}),
-			hb.Factory(hb.Config{Interval: opts.HBInterval}),
-			live.Factory(live.Config{}),
-			logmod.Factory(logmod.Config{}),
-			group.Factory,
-			barrier.Factory,
-			wexec.Factory(wexec.Config{Programs: opts.Programs}),
-			resrc.Factory(resrc.Config{}),
-			jobsvc.Factory(jobsvc.Config{Backfill: true}),
-		},
+		Size:    opts.Size,
+		Arity:   opts.Arity,
+		Clock:   opts.Clock,
+		Codec:   opts.Codec,
+		Modules: standardModules(opts),
 	})
+}
+
+// standardModules is NewSession's comms-module set.
+func standardModules(opts SessionOptions) []session.ModuleFactory {
+	return []session.ModuleFactory{
+		kvs.Factory(kvs.ModuleConfig{}),
+		hb.Factory(hb.Config{Interval: opts.HBInterval}),
+		live.Factory(live.Config{}),
+		logmod.Factory(logmod.Config{}),
+		group.Factory,
+		barrier.Factory,
+		wexec.Factory(wexec.Config{Programs: opts.Programs}),
+		resrc.Factory(resrc.Config{}),
+		jobsvc.Factory(jobsvc.Config{Backfill: true}),
+	}
 }
 
 // SubmitJob enqueues a job with the session's batch job service and

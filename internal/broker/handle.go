@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,20 +27,20 @@ func ErrShutdown(err error) bool { return errors.Is(err, errShutdown) }
 // Handle is a program's connection to its local broker — the analogue of
 // a flux_t handle in the C prototype. Comms modules, tools, and
 // application run-times all use Handles for RPCs, events, and responses.
-// A Handle is safe for concurrent use.
+// A Handle is safe for concurrent use. It owns no goroutine: the broker
+// settles responses and fills subscriptions on its delivering goroutine
+// (see deliver); only each Subscription's mailbox has a pump.
 type Handle struct {
 	b        *Broker
 	id       string
 	link     *link
-	inbox    *Mailbox[*wire.Message]
 	nextTag  atomic.Uint64
 	closedCh chan struct{}
 
-	mu       debuglock.Mutex
-	pending  map[uint64]chan *wire.Message
-	subs     []*Subscription
-	prefixes []string
-	closed   bool
+	mu      debuglock.Mutex
+	pending map[uint64]chan *wire.Message
+	subs    []*Subscription
+	closed  bool
 }
 
 // NewHandle attaches a new in-process handle to the broker.
@@ -47,7 +48,6 @@ func (b *Broker) NewHandle() *Handle {
 	h := &Handle{
 		b:        b,
 		id:       fmt.Sprintf("h:%d.%d", b.cfg.Rank, b.handleSeq.Add(1)),
-		inbox:    NewMailbox[*wire.Message](),
 		closedCh: make(chan struct{}),
 		pending:  make(map[uint64]chan *wire.Message),
 	}
@@ -62,7 +62,6 @@ func (b *Broker) NewHandle() *Handle {
 	b.links[h.id] = h.link
 	b.publishLinksLocked()
 	b.mu.Unlock()
-	go h.demux()
 	return h
 }
 
@@ -121,21 +120,26 @@ func (h *Handle) Logf(format string, args ...any) {
 	h.b.log.Warnf("module", format, args...)
 }
 
-// deliver is called by the broker loop to hand a message to the handle.
-// It reports false once the handle has shut down.
+// deliver hands a message routed to the handle over, on the broker's
+// delivering goroutine. It reports false once the handle has shut down.
 //
-// Responses are matched to their pending RPC right here instead of
-// detouring through the inbox pump and demux goroutine: the channel is
-// buffered (capacity 1) and each tag has exactly one response in flight,
-// so the send below never blocks a dispatch shard. Cutting those two
-// goroutine hops roughly halves the wakeups on the RPC critical path.
+// A response settles its pending RPC: the channel is buffered
+// (capacity 1) and each tag has exactly one response in flight, so the
+// send never blocks a dispatch shard. An event is pushed into every
+// matching subscription's mailbox, which never blocks either. Events
+// arrive under the broker's evMu, one at a time in session order and
+// after the modules have been fed, so each subscription sees them in
+// that order and a request sent after reading one reaches a module
+// after it. Lock order: evMu -> Handle.mu -> Mailbox.mu. Anything else
+// is dropped: handles do not serve requests.
 func (h *Handle) deliver(m *wire.Message) bool {
-	if m.Type == wire.Response {
-		h.mu.Lock()
-		if h.closed {
-			h.mu.Unlock()
-			return false
-		}
+	h.mu.Lock()
+	if h.closed {
+		h.mu.Unlock()
+		return false
+	}
+	switch m.Type {
+	case wire.Response:
 		ch, ok := h.pending[m.Seq]
 		if ok {
 			delete(h.pending, m.Seq)
@@ -145,52 +149,27 @@ func (h *Handle) deliver(m *wire.Message) bool {
 			ch <- m
 		}
 		return true
+	case wire.Event:
+		for _, s := range h.subs {
+			if matchTopic(s.prefix, m.Topic) {
+				s.mb.Push(m)
+			}
+		}
 	}
-	return h.inbox.Push(m)
+	h.mu.Unlock()
+	return true
 }
 
 // wantsEvent reports whether any subscription matches topic.
 func (h *Handle) wantsEvent(topic string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for _, p := range h.prefixes {
-		if matchTopic(p, topic) {
+	for _, s := range h.subs {
+		if matchTopic(s.prefix, topic) {
 			return true
 		}
 	}
 	return false
-}
-
-// demux dispatches inbound messages to pending RPCs and subscriptions.
-func (h *Handle) demux() {
-	for m := range h.inbox.Out() {
-		switch m.Type {
-		case wire.Response:
-			h.mu.Lock()
-			ch, ok := h.pending[m.Seq]
-			if ok {
-				delete(h.pending, m.Seq)
-			}
-			h.mu.Unlock()
-			if ok {
-				ch <- m
-			}
-		case wire.Event:
-			h.mu.Lock()
-			var targets []*Subscription
-			for _, s := range h.subs {
-				if matchTopic(s.prefix, m.Topic) {
-					targets = append(targets, s)
-				}
-			}
-			h.mu.Unlock()
-			for _, s := range targets {
-				s.mb.Push(m)
-			}
-		default:
-			// Handles do not serve requests; drop anything else.
-		}
-	}
 }
 
 // DefaultRPCTimeout is the deadline applied to RPCs when neither the
@@ -248,7 +227,7 @@ func (h *Handle) RPCContext(ctx context.Context, topic string, nodeid uint32, bo
 
 // RPCWithOptions is RPC with an explicit deadline/retry policy. Every
 // attempt is a fresh request with a fresh match tag; a response to an
-// abandoned attempt is dropped by the demultiplexer. Retries re-route
+// abandoned attempt finds no pending entry and is dropped. Retries re-route
 // from scratch, so an attempt that failed over a now-dead parent link is
 // re-issued over the adoptive parent once re-parenting completes.
 func (h *Handle) RPCWithOptions(ctx context.Context, topic string, nodeid uint32, body any, opts RPCOptions) (*wire.Message, error) {
@@ -431,7 +410,10 @@ func (h *Handle) PublishEvent(topic string, body any) (uint64, error) {
 	return out.Seq, nil
 }
 
-// Subscription is a stream of events matching a topic prefix.
+// Subscription is a stream of events matching a topic prefix. The
+// handle's deliver pushes matching events into its mailbox; the
+// mailbox's pump is the only goroutine a subscription owns, and it
+// exits when the subscription or its handle is closed.
 type Subscription struct {
 	h      *Handle
 	prefix string
@@ -440,29 +422,18 @@ type Subscription struct {
 }
 
 // Chan returns the event channel. It closes when the subscription or the
-// handle is closed.
+// handle is closed; events not yet read are then discarded.
 func (s *Subscription) Chan() <-chan *wire.Message { return s.mb.Out() }
 
-// Close cancels the subscription.
+// Close cancels the subscription and discards its unread events.
 func (s *Subscription) Close() {
 	s.once.Do(func() {
 		h := s.h
 		h.mu.Lock()
-		subs := h.subs[:0]
-		for _, x := range h.subs {
-			if x != s {
-				subs = append(subs, x)
-			}
-		}
-		h.subs = subs
-		prefixes := h.prefixes[:0]
-		for _, x := range h.subs {
-			prefixes = append(prefixes, x.prefix)
-		}
-		h.prefixes = prefixes
+		h.subs = slices.DeleteFunc(h.subs, func(x *Subscription) bool { return x == s })
 		h.mu.Unlock()
 		h.b.invalidateRecipients()
-		s.mb.Close()
+		s.mb.CloseNow()
 	})
 }
 
@@ -474,20 +445,20 @@ func (h *Handle) Subscribe(prefix string) (*Subscription, error) {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
-		s.mb.Close()
+		s.mb.CloseNow()
 		return nil, errShutdown
 	}
 	h.subs = append(h.subs, s)
-	h.prefixes = append(h.prefixes, prefix)
 	h.mu.Unlock()
-	// After the prefix is in place: an event whose recipients are picked
+	// After the subscription is in place: an event whose recipients are picked
 	// after this bump sees the subscription.
 	h.b.invalidateRecipients()
 	return s, nil
 }
 
 // Close detaches the handle from the broker, failing in-flight RPCs and
-// closing subscription channels. Close is idempotent.
+// closing subscription channels (unread events are discarded). Close is
+// idempotent.
 func (h *Handle) Close() {
 	h.b.mu.Lock()
 	delete(h.b.links, h.id)
@@ -507,8 +478,7 @@ func (h *Handle) shutdown() {
 	subs := append([]*Subscription(nil), h.subs...)
 	h.mu.Unlock()
 	close(h.closedCh)
-	h.inbox.Close()
 	for _, s := range subs {
-		s.mb.Close()
+		s.mb.CloseNow()
 	}
 }

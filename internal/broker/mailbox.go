@@ -15,7 +15,8 @@ type Mailbox[T any] struct {
 }
 
 // NewMailbox returns a running mailbox. Its pump goroutine exits after
-// Close (or CloseNow) once all deliverable items have been drained.
+// Close once all queued items have been drained, and after CloseNow at
+// once, whether or not anyone reads Out.
 func NewMailbox[T any]() *Mailbox[T] {
 	m := &Mailbox[T]{out: make(chan T)}
 	m.cond = sync.NewCond(&m.mu)
@@ -47,13 +48,17 @@ func (m *Mailbox[T]) Close() {
 	m.mu.Unlock()
 }
 
-// CloseNow stops accepting new items and discards anything queued.
+// CloseNow stops accepting new items, discards anything queued and
+// returns once the pump has exited. It receives (and discards) an item
+// the pump may be holding, so the pump exits even if nobody reads Out.
 func (m *Mailbox[T]) CloseNow() {
 	m.mu.Lock()
 	m.closed = true
 	m.items = nil
 	m.cond.Broadcast()
 	m.mu.Unlock()
+	for range m.out {
+	}
 }
 
 // Len returns the number of queued (undelivered) items.

@@ -378,11 +378,7 @@ func TestRecipientRebuilds(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"Subscription.Close", func() {
-			s.Close()
-			for range s.Chan() { // let the mailbox pump exit
-			}
-		}},
+		{"Subscription.Close", func() { s.Close() }},
 		{"Handle.Close", func() { h.Close() }},
 		{"client attach", func() {
 			b.AttachConn(LinkClient, clientEnd)

@@ -263,7 +263,7 @@ func TestResponseSettlesInflight(t *testing.T) {
 func TestSendErrorsCounted(t *testing.T) {
 	b := newBroker(t)
 	h := b.NewHandle()
-	// Tear down the handle's inbox without deregistering the link, the
+	// Shut the handle down without deregistering the link, the
 	// window a real teardown also passes through.
 	h.shutdown()
 	b.send(h.link, &wire.Message{Type: wire.Event, Topic: "x"})

@@ -23,10 +23,19 @@ type Client struct {
 	h       *broker.Handle
 	service string
 
+	// seq tells apart clients sharing one handle and epoch numbers one
+	// client's commits; together with the handle ID they make each
+	// Commit's fence name unique, so the fence reply cache can never
+	// answer a fresh commit with another client's result.
+	seq   uint64
+	epoch atomic.Uint64
+
 	mu      debuglock.Mutex
 	pending []Op
-	epoch   atomic.Uint64 // commit-name uniquifier
 }
+
+// clientSeq numbers the Clients of this process.
+var clientSeq atomic.Uint64
 
 // NewClient wraps a broker handle in a KVS client for the default "kvs"
 // service.
@@ -37,7 +46,7 @@ func NewClient(h *broker.Handle) *Client {
 // NewClientFor wraps a handle in a client for a specific kvs service
 // instance (sharded deployments load several: "kvs0", "kvs1", ...).
 func NewClientFor(h *broker.Handle, service string) *Client {
-	c := &Client{h: h, service: service}
+	c := &Client{h: h, service: service, seq: clientSeq.Add(1)}
 	c.mu.SetClass("kvs.Client.mu")
 	return c
 }
@@ -132,7 +141,7 @@ func (c *Client) Commit() (uint64, error) {
 	if len(ops) == 0 {
 		return c.GetVersion()
 	}
-	name := fmt.Sprintf("commit.%d.%s.%d", c.h.Rank(), c.h.ID(), c.epoch.Add(1))
+	name := fmt.Sprintf("commit.%d.%s.%d.%d", c.h.Rank(), c.h.ID(), c.seq, c.epoch.Add(1))
 	return c.fence(name, 1, ops)
 }
 

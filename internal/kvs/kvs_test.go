@@ -324,6 +324,39 @@ func TestConcurrentCommitsDistinctKeys(t *testing.T) {
 	}
 }
 
+// TestTwoClientsOneHandle commits through two clients sharing one
+// handle: each commit must be applied, not answered from the fence
+// reply cache under the other client's name.
+func TestTwoClientsOneHandle(t *testing.T) {
+	s := newKVSSession(t, 4, 2)
+	h := s.Handle(2)
+	t.Cleanup(h.Close)
+	c1, c2 := NewClient(h), NewClient(h)
+	if err := c1.Put("two.c1", 1); err != nil {
+		t.Fatal(err)
+	}
+	v1, err := c1.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Put("two.c2", 2); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := c2.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v2 <= v1 {
+		t.Fatalf("second client's commit got version %d after the first's %d", v2, v1)
+	}
+	for key, want := range map[string]int{"two.c1": 1, "two.c2": 2} {
+		var got int
+		if err := c1.Get(key, &got); err != nil || got != want {
+			t.Fatalf("%s = %d, %v; want %d", key, got, err, want)
+		}
+	}
+}
+
 func TestWatchValue(t *testing.T) {
 	s := newKVSSession(t, 3, 2)
 	wc := client(t, s, 2)

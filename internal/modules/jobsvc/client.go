@@ -73,11 +73,15 @@ func Wait(ctx context.Context, h *broker.Handle, id string) (*Info, error) {
 	}
 	defer sub.Close()
 
-	// The job may already be done.
+	kc := kvs.NewClient(h)
+	// The job may already be done. Sync to the root its record was read
+	// at, as for an event, so that what the job wrote is readable here.
 	if info, err := GetInfo(h, id); err == nil && terminal(info.State) {
+		if err := kc.WaitVersion(info.Version); err != nil {
+			return nil, err
+		}
 		return info, nil
 	}
-	kc := kvs.NewClient(h)
 	for {
 		select {
 		case <-ctx.Done():

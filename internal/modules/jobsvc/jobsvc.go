@@ -47,6 +47,9 @@ type Info struct {
 	State string `json:"state"`
 	Ranks []int  `json:"ranks,omitempty"` // granted session ranks
 	Exit  int    `json:"nfailed"`         // failed task count
+	// Version is the KVS root version the record was read at; a reader
+	// of a finished job syncs to it before reading what the job wrote.
+	Version uint64 `json:"version,omitempty"`
 }
 
 // stateEvent is the job.state event payload.
@@ -346,5 +349,8 @@ func (m *Module) recvInfo(msg *wire.Message) {
 	m.kc.Get(dir+".spec", &info.Spec)
 	m.kc.Get(dir+".ranks", &info.Ranks)
 	m.kc.Get(dir+".nfailed", &info.Exit)
+	// The root only moves forward, so the version read after the record
+	// is at least the one it was read at.
+	info.Version, _ = m.kc.GetVersion()
 	m.h.Respond(msg, info)
 }

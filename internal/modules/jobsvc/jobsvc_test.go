@@ -10,6 +10,7 @@ import (
 	"fluxgo/internal/modules/resrc"
 	"fluxgo/internal/modules/wexec"
 	"fluxgo/internal/session"
+	"fluxgo/internal/transport"
 )
 
 func newSession(t *testing.T, size int, cfg Config) *session.Session {
@@ -262,5 +263,68 @@ func TestStateEventsPublished(t *testing.T) {
 		if seen[i] != want[i] {
 			t.Fatalf("state trail %v, want %v", seen, want)
 		}
+	}
+}
+
+// TestWaitSyncsLaggingRoot calls Wait for a job that has already
+// finished from a rank whose event link is slow, so its KVS root lags
+// the root's. Wait must not return before that rank can read the job's
+// output.
+func TestWaitSyncsLaggingRoot(t *testing.T) {
+	s, err := session.New(session.Options{
+		Size:           4,
+		FaultInjection: true,
+		Modules: []session.ModuleFactory{
+			kvs.Factory(kvs.ModuleConfig{}),
+			resrc.Factory(resrc.Config{}),
+			wexec.Factory(wexec.Config{}),
+			Factory(Config{}),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	const caller = 3
+	h0, h := s.Handle(0), s.Handle(caller)
+	defer h0.Close()
+	defer h.Close()
+	// Give the caller's rank a root of its own first: a rank that has
+	// none fetches the current one on its first read.
+	kc := kvs.NewClient(h)
+	if err := kc.Put("warm", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := kc.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	s.Chaos().SetEventLinkFaults(s.Tree().Parent(caller), caller, transport.Faults{Delay: 300 * time.Millisecond})
+
+	id, err := Submit(h, Spec{Program: "echo", Args: []string{"lag"}, Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Watch the job finish from the root, whose KVS is current.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		info, err := GetInfo(h0, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if terminal(info.State) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still %s", id, info.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	info, err := Wait(ctx(t), h, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, _, _, err := wexec.Output(h, "job-"+id, info.Ranks[0])
+	if err != nil || stdout != "lag\n" {
+		t.Fatalf("output read at rank %d right after Wait: %q, %v", caller, stdout, err)
 	}
 }

@@ -114,7 +114,7 @@ type jobState struct {
 type Module struct {
 	cfg Config
 	h   *broker.Handle
-	kc  *kvs.Client
+	kc  *kvs.Client // job records at the root (finishJob); tasks have their own
 
 	mu      sync.Mutex
 	jobs    map[string]*jobState
@@ -263,6 +263,10 @@ func (m *Module) onRun(msg *wire.Message) {
 	m.wg.Add(1)
 	m.obsTasks.Inc()
 	m.obsRunning.Add(1)
+	// Each task commits through a client of its own: on a shared one a
+	// task's Commit could find its puts taken by another task's commit
+	// still in flight and report done before its output is committed.
+	kc := kvs.NewClient(m.h)
 	go func() {
 		start := time.Now()
 		defer m.wg.Done()
@@ -284,22 +288,22 @@ func (m *Module) onRun(msg *wire.Message) {
 			m.obsFailed.Inc()
 		}
 		m.histTask.Observe(time.Since(start))
-		m.completeTask(body.JobID, code, stdout.String(), stderr.String())
+		m.completeTask(kc, body.JobID, code, stdout.String(), stderr.String())
 	}()
 }
 
 // completeTask captures a finished task's stdio and exit code in the KVS
-// and reports completion toward the root.
-func (m *Module) completeTask(jobid string, code int, stdout, stderr string) {
+// through the task's own client and reports completion toward the root.
+func (m *Module) completeTask(kc *kvs.Client, jobid string, code int, stdout, stderr string) {
 	prefix := JobDir(jobid) + "." + strconv.Itoa(m.h.Rank())
-	m.kc.Put(prefix+".exitcode", code)
+	kc.Put(prefix+".exitcode", code)
 	if stdout != "" {
-		m.kc.Put(prefix+".stdout", stdout)
+		kc.Put(prefix+".stdout", stdout)
 	}
 	if stderr != "" {
-		m.kc.Put(prefix+".stderr", stderr)
+		kc.Put(prefix+".stderr", stderr)
 	}
-	if _, err := m.kc.Commit(); err != nil && !broker.ErrShutdown(err) {
+	if _, err := kc.Commit(); err != nil && !broker.ErrShutdown(err) {
 		return
 	}
 	fails := 0

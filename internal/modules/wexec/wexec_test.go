@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -211,5 +212,51 @@ func TestCustomProgramRegistry(t *testing.T) {
 	}
 	if stdout != "4" {
 		t.Fatalf("stdout %q, want 4", stdout)
+	}
+}
+
+// TestConcurrentJobsOneRankOutput runs many one-task jobs at once on
+// rank 1, so several tasks there commit their output concurrently. Once
+// Wait returns, every task's output must be readable, at the rank of
+// the job's task and at the root alike: a task reports done only after
+// its own output committed.
+func TestConcurrentJobsOneRankOutput(t *testing.T) {
+	const workers, jobs = 16, 40
+	s := newSession(t, 2)
+	errs := make(chan error, workers*jobs)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			h := s.Handle(w % 2)
+			defer h.Close()
+			for j := 0; j < jobs; j++ {
+				id := fmt.Sprintf("cj-%d-%d", w, j)
+				if _, err := Run(h, id, "echo", []string{id}, []int{1}); err != nil {
+					errs <- fmt.Errorf("run %s: %w", id, err)
+					return
+				}
+				if _, err := Wait(ctx(t), h, id); err != nil {
+					errs <- fmt.Errorf("wait %s: %w", id, err)
+					return
+				}
+				if stdout, _, _, err := Output(h, id, 1); err != nil || stdout != id+"\n" {
+					errs <- fmt.Errorf("job %s read at rank %d: stdout %q, %v", id, w%2, stdout, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	n := 0
+	for err := range errs {
+		if n < 5 {
+			t.Error(err)
+		}
+		n++
+	}
+	if n > 0 {
+		t.Fatalf("%d of %d task outputs missing or wrong after Wait", n, workers*jobs)
 	}
 }

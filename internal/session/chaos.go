@@ -13,7 +13,8 @@ import (
 // of every inter-broker link endpoint, wrapped in transport.Faulty, and
 // exposes the failure vocabulary of the chaos tests:
 //
-//   - per-link loss, latency, duplication (SetLinkFaults)
+//   - per-link loss, latency, duplication (SetLinkFaults, or
+//     SetEventLinkFaults for the event plane alone)
 //   - network partitions between rank sets (Partition / Heal)
 //   - silent rank crashes, where peers observe no EOF (Crash), with
 //     failure detection modelled separately (Sever)
@@ -29,6 +30,10 @@ type Chaos struct {
 	// all register here). Guarded by s.mu: registration happens during
 	// wiring and re-parenting, control during tests.
 	endpoints map[int]map[int][]*transport.Faulty
+	// eventPlane marks the endpoints of event-plane links, the ones
+	// SetEventLinkFaults shapes. An endpoint leaves it when it leaves
+	// endpoints. Guarded by s.mu.
+	eventPlane map[*transport.Faulty]bool
 
 	// storage[rank] is the simulated-disk fault injector backing rank's
 	// durable state, when the test registered one (RegisterStorage).
@@ -43,10 +48,11 @@ type Chaos struct {
 
 func newChaos(s *Session, seed int64) *Chaos {
 	return &Chaos{
-		s:         s,
-		endpoints: map[int]map[int][]*transport.Faulty{},
-		storage:   map[int]*cas.FaultyFS{},
-		seed:      seed,
+		s:          s,
+		endpoints:  map[int]map[int][]*transport.Faulty{},
+		eventPlane: map[*transport.Faulty]bool{},
+		storage:    map[int]*cas.FaultyFS{},
+		seed:       seed,
 	}
 }
 
@@ -120,6 +126,40 @@ func (c *Chaos) SetLinkFaults(from, to int, f transport.Faults) {
 	c.s.mu.Unlock()
 	for _, ep := range eps {
 		ep.SetFaults(f)
+	}
+}
+
+// SetEventLinkFaults is SetLinkFaults for the event plane alone: the
+// from→to event link gets f, the tree and ring links between the pair
+// are left as they are. A delayed event link lets a rank's KVS root lag
+// behind the responses it receives.
+func (c *Chaos) SetEventLinkFaults(from, to int, f transport.Faults) {
+	c.s.mu.Lock()
+	var eps []*transport.Faulty
+	for _, ep := range c.endpoints[from][to] {
+		if c.eventPlane[ep] {
+			eps = append(eps, ep)
+		}
+	}
+	c.s.mu.Unlock()
+	for _, ep := range eps {
+		ep.SetFaults(f)
+	}
+}
+
+// markEventPlane records two endpoints made by wrap as an event link's.
+func (c *Chaos) markEventPlane(ca, cb transport.Conn) {
+	c.s.mu.Lock()
+	c.eventPlane[ca.(*transport.Faulty)] = true
+	c.eventPlane[cb.(*transport.Faulty)] = true
+	c.s.mu.Unlock()
+}
+
+// unmarkLocked drops deregistered endpoints from eventPlane. Caller
+// holds s.mu.
+func (c *Chaos) unmarkLocked(eps []*transport.Faulty) {
+	for _, ep := range eps {
+		delete(c.eventPlane, ep)
 	}
 }
 
@@ -236,7 +276,11 @@ func (c *Chaos) Sever(rank int) {
 		eps = append(eps, peers[rank]...)
 		delete(peers, rank)
 	}
+	for _, list := range c.endpoints[rank] {
+		c.unmarkLocked(list)
+	}
 	delete(c.endpoints, rank)
+	c.unmarkLocked(eps)
 	c.s.mu.Unlock()
 	for _, ep := range eps {
 		ep.Close()
@@ -275,6 +319,7 @@ func (c *Chaos) forget(rank int) {
 		eps = append(eps, peers[rank]...)
 		delete(peers, rank)
 	}
+	c.unmarkLocked(eps)
 	c.s.mu.Unlock()
 	for _, ep := range eps {
 		ep.Close()

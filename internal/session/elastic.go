@@ -121,7 +121,7 @@ func (s *Session) growOne() (int, error) {
 	treeP, treeC := s.pipeRanks(p, r)
 	adopter.AttachPendingConn(broker.LinkChildTree, treeP)
 	b.AttachConn(broker.LinkParentTree, treeC)
-	evP, evC := s.pipeRanks(p, r)
+	evP, evC := s.pipeEventRanks(p, r)
 	adopter.AttachConn(broker.LinkChildEvent, evP)
 	b.AttachConn(broker.LinkParentEvent, evC)
 	if err := evC.Send(&wire.Message{Type: wire.Control, Topic: wire.TopicResync, Seq: 0}); err != nil {

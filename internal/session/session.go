@@ -218,13 +218,23 @@ func (s *Session) pipeRanks(a, b int) (transport.Conn, transport.Conn) {
 	return ca, cb
 }
 
+// pipeEventRanks is pipeRanks for an event-plane link, whose fault
+// injectors Chaos.SetEventLinkFaults can also reach.
+func (s *Session) pipeEventRanks(p, c int) (transport.Conn, transport.Conn) {
+	ca, cb := s.pipeRanks(p, c)
+	if s.chaos != nil {
+		s.chaos.markEventPlane(ca, cb)
+	}
+	return ca, cb
+}
+
 // wireParentChild creates the two tree-plane pipes between p and c.
 func (s *Session) wireParentChild(p, c int) error {
 	treeP, treeC := s.pipeRanks(p, c)
 	s.brokers[p].AttachConn(broker.LinkChildTree, treeP)
 	s.brokers[c].AttachConn(broker.LinkParentTree, treeC)
 
-	evP, evC := s.pipeRanks(p, c)
+	evP, evC := s.pipeEventRanks(p, c)
 	s.brokers[p].AttachConn(broker.LinkChildEvent, evP)
 	s.brokers[c].AttachConn(broker.LinkParentEvent, evC)
 	// Child event links start gated at the parent; the initial resync
@@ -372,7 +382,7 @@ func (s *Session) reparent(b *broker.Broker, oldParent int) {
 
 	c := b.Rank()
 	treeP, treeC := s.pipeRanks(p, c)
-	evP, evC := s.pipeRanks(p, c)
+	evP, evC := s.pipeEventRanks(p, c)
 	adopter.AttachConn(broker.LinkChildTree, treeP)
 	adopter.AttachConn(broker.LinkChildEvent, evP)
 	b.SetParent(treeC, evC, p)
