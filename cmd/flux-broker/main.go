@@ -31,7 +31,6 @@ import (
 	"fluxgo/internal/modules/hb"
 	"fluxgo/internal/modules/jobsvc"
 	"fluxgo/internal/modules/live"
-	"fluxgo/internal/modules/logmod"
 	"fluxgo/internal/modules/resrc"
 	"fluxgo/internal/modules/wexec"
 	"fluxgo/internal/session"
@@ -101,7 +100,6 @@ func main() {
 			kvs.Factory(kvsConfig()),
 			hb.Factory(hb.Config{Interval: *hbFlag}),
 			live.Factory(live.Config{}),
-			logmod.Factory(logmod.Config{Sink: os.Stderr}),
 			group.Factory,
 			barrier.Factory,
 			wexec.Factory(wexec.Config{}),

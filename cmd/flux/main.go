@@ -26,7 +26,6 @@
 //	queue                    active (queued + running) jobs
 //	cancel <id>              cancel a queued or running job
 //	wait <id>                block until a job completes, print its record
-//	log dump [count]         recent entries from the root log sink
 //	dmesg [--rank N] [--level L] [--follow]
 //	                         merged time-ordered log records from all live ranks
 //	                         (or one rank); --follow polls for new records
@@ -116,8 +115,6 @@ flagsDone:
 			usage()
 		}
 		cmdWaitJob(c, args[1])
-	case "log":
-		cmdLog(c, args[1:])
 	case "dmesg":
 		cmdDmesg(c, args[1:])
 	case "dump":
@@ -671,27 +668,4 @@ func cmdDump(c *client.Client, args []string) {
 	}
 	fatalIf(os.WriteFile(outFile, data, 0o644))
 	fmt.Printf("wrote %s (%d ranks, %d errors)\n", outFile, len(d.Ranks), len(d.Errors))
-}
-
-func cmdLog(c *client.Client, args []string) {
-	count := 20
-	if len(args) >= 2 && args[0] == "dump" {
-		if v, err := strconv.Atoi(args[1]); err == nil {
-			count = v
-		}
-	}
-	resp, err := c.RPC("log.dump", 0, map[string]int{"count": count})
-	fatalIf(err)
-	var body struct {
-		Entries []struct {
-			Facility string `json:"facility"`
-			Level    int    `json:"level"`
-			Rank     int    `json:"rank"`
-			Message  string `json:"message"`
-		} `json:"entries"`
-	}
-	fatalIf(resp.UnpackJSON(&body))
-	for _, e := range body.Entries {
-		fmt.Printf("[%d] <%d> %s: %s\n", e.Rank, e.Level, e.Facility, e.Message)
-	}
 }

@@ -9,8 +9,10 @@
 //     (internal/broker, internal/session);
 //   - the distributed KVS: SHA-1 content-addressed hash trees with a
 //     master at the tree root and caching slaves (internal/kvs);
-//   - the Table I comms modules: hb, live, log, mon, group, barrier,
-//     kvs, wexec, resrc (internal/modules/...);
+//   - the Table I comms modules: hb, live, mon, group, barrier, kvs,
+//     wexec, resrc (internal/modules/...); Table I's log module is the
+//     broker's own log plane (per-rank rings, warn-and-worse forwarded
+//     to the root on each heartbeat, flux dmesg to read them);
 //   - the unified job model: recursive Flux instances with the parent
 //     bounding / child empowerment / parental consent rules
 //     (internal/core), over the generalized resource model
@@ -43,9 +45,9 @@ import (
 	"fluxgo/internal/modules/hb"
 	"fluxgo/internal/modules/jobsvc"
 	"fluxgo/internal/modules/live"
-	"fluxgo/internal/modules/logmod"
 	"fluxgo/internal/modules/resrc"
 	"fluxgo/internal/modules/wexec"
+	"fluxgo/internal/obs"
 	"fluxgo/internal/pmi"
 	"fluxgo/internal/resource"
 	"fluxgo/internal/sched"
@@ -116,8 +118,8 @@ type SessionOptions struct {
 }
 
 // NewSession starts an in-process comms session with the standard
-// comms-module set loaded: kvs, hb, live, log, group, barrier, and
-// wexec at every rank, plus the resource and batch-job services
+// comms-module set loaded: kvs, hb, live, group, barrier, and wexec
+// at every rank, plus the resource and batch-job services
 // (resrc, job) rooted at rank 0.
 func NewSession(opts SessionOptions) (*Session, error) {
 	return session.New(session.Options{
@@ -135,7 +137,6 @@ func standardModules(opts SessionOptions) []session.ModuleFactory {
 		kvs.Factory(kvs.ModuleConfig{}),
 		hb.Factory(hb.Config{Interval: opts.HBInterval}),
 		live.Factory(live.Config{}),
-		logmod.Factory(logmod.Config{}),
 		group.Factory,
 		barrier.Factory,
 		wexec.Factory(wexec.Config{Programs: opts.Programs}),
@@ -191,10 +192,13 @@ func NewRootInstance(cluster *Resource, opts InstanceOptions) (*Instance, error)
 	return core.NewRoot(cluster, opts)
 }
 
-// Log appends a log entry via the local log comms module; entries are
-// reduced and filtered toward the session root.
+// Log records an entry in the handle's broker log ring, with facility
+// as its subsystem. Warn-and-worse entries are forwarded toward the
+// session root on each heartbeat; the rest stay in the rank's ring
+// until flux dmesg pulls them. It always returns nil.
 func Log(h *Handle, facility string, level int, format string, args ...any) error {
-	return logmod.Log(h, facility, level, format, args...)
+	h.Log(level, facility, format, args...)
+	return nil
 }
 
 // Run launches a simulated program in bulk on the given ranks (nil for
@@ -203,10 +207,10 @@ func Run(h *Handle, jobid, program string, args []string, ranks []int) (int, err
 	return wexec.Run(h, jobid, program, args, ranks)
 }
 
-// Log severity levels (syslog-style; lower is more severe).
+// Log severity levels (syslog-numbered; lower is more severe).
 const (
-	LogErr    = logmod.LevelErr
-	LogInfo   = logmod.LevelInfo
-	LogDebug  = logmod.LevelDebug
-	LogNotice = logmod.LevelNotice
+	LogErr    = obs.LevelErr
+	LogInfo   = obs.LevelInfo
+	LogDebug  = obs.LevelDebug
+	LogNotice = obs.LevelNotice
 )

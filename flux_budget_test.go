@@ -12,7 +12,7 @@ import (
 // may hold at one route-dispatch shard: broker loops, link readers and
 // writers, and per module its runner and its inbox's pump. A handle
 // holds none; a subscription holds one, its mailbox's pump.
-const maxIdleRankGoroutines = 25
+const maxIdleRankGoroutines = 23
 
 // TestIdleRankGoroutineBudget counts the goroutines an idle session
 // adds per rank. The count is a property of the code, not the machine.

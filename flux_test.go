@@ -9,6 +9,8 @@ import (
 
 	"fluxgo"
 	"fluxgo/internal/modules/wexec"
+	"fluxgo/internal/obs"
+	"fluxgo/internal/wire"
 )
 
 func TestFacadeSessionKVS(t *testing.T) {
@@ -146,8 +148,31 @@ func TestFacadeRunAndLog(t *testing.T) {
 	defer sess.Close()
 	h := sess.Handle(0)
 	defer h.Close()
-	if err := fluxgo.Log(h, "test", fluxgo.LogInfo, "hello %s", "log"); err != nil {
+	leaf := sess.Handle(2)
+	defer leaf.Close()
+	if err := fluxgo.Log(leaf, "test", fluxgo.LogInfo, "hello %s", "log"); err != nil {
 		t.Fatal(err)
+	}
+	// An info record is not pushed to the root; a rank-0 subtree gather
+	// pulls it from rank 2's ring.
+	resp, err := h.RPC(wire.TopicDmesg, 0, map[string]any{"subtree": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Records []obs.Record `json:"records"`
+	}
+	if err := resp.UnpackJSON(&body); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, r := range body.Records {
+		if r.Msg == "hello log" {
+			found = r.Rank == 2 && r.Sub == "test" && r.Level == obs.LevelInfo
+		}
+	}
+	if !found {
+		t.Fatalf("no rank-2 info record from sub test in the gather: %+v", body.Records)
 	}
 	n, err := fluxgo.Run(h, "fjob2", "hostname", nil, nil)
 	if err != nil || n != 3 {

@@ -16,7 +16,8 @@ package broker
 //     ring, recursively gather each live gather-child, merge
 //     time-ordered. At the root this is the session-wide flux dmesg.
 //     A child whose subtree RPC fails degrades to flat per-rank
-//     queries, so one dead interior rank costs its own records only.
+//     queries, so one dead interior rank costs its own records only;
+//     ranks a child's answer misses are queried flat as well.
 //
 // Records carry (rank, boot, seq) so the two paths dedupe cleanly.
 
@@ -84,21 +85,24 @@ func (b *Broker) serveDmesg(m *wire.Message) {
 		}
 	}
 	if !body.Subtree {
-		b.respondDmesg(m, b.localDmesg(body))
+		b.respondBody(m, b.localDmesg(body))
 		return
 	}
 	b.bg.Add(1)
 	go func() {
 		defer b.bg.Done()
-		b.respondDmesg(m, b.gatherDmesg(body))
+		b.respondBody(m, b.gatherDmesg(body))
 	}()
 }
 
-func (b *Broker) respondDmesg(m *wire.Message, r dmesgResp) {
-	resp, err := wire.NewResponse(m, r)
-	if err == nil {
-		b.routeResponse(inbound{msg: resp})
+// respondBody answers a telemetry request with a JSON body.
+func (b *Broker) respondBody(m *wire.Message, v any) {
+	resp, err := wire.NewResponse(m, v)
+	if err != nil {
+		b.respondErr(m, ErrnoInval, err.Error())
+		return
 	}
+	b.routeResponse(inbound{msg: resp})
 }
 
 // localDmesg snapshots this broker's own records (plus, on request, its
@@ -116,37 +120,16 @@ func (b *Broker) localDmesg(body dmesgBody) dmesgResp {
 
 // gatherDmesg tree-reduces the live subtree rooted at this broker: its
 // own records merged with each gather-child's recursive gather,
-// time-ordered. A failed child subtree degrades to flat per-rank
-// queries so the rest of that subtree still reports.
+// time-ordered and deduped.
 func (b *Broker) gatherDmesg(body dmesgBody) dmesgResp {
-	h := b.NewHandle()
-	defer h.Close()
 	out := b.localDmesg(body)
 	parts := [][]obs.Record{out.Records}
-	for _, child := range b.gatherChildren() {
-		sub := body
-		sub.Subtree = true
-		r, err := b.dmesgRPC(h, child, sub, dmesgChildTimeout)
-		if err == nil {
-			parts = append(parts, r.Records)
-			out.Ranks = append(out.Ranks, r.Ranks...)
-			out.Errors = append(out.Errors, r.Errors...)
-			continue
-		}
-		// The child cannot run the gather (dead, restarting, severed):
-		// query every live rank it was responsible for directly.
-		flat := body
-		flat.Subtree = false
-		for _, rank := range b.staticSubtree(child) {
-			r, err := b.dmesgRPC(h, rank, flat, dmesgRankTimeout)
-			if err != nil {
-				out.Errors = append(out.Errors, fmt.Sprintf("rank %d: %v", rank, err))
-				continue
-			}
-			parts = append(parts, r.Records)
-			out.Ranks = append(out.Ranks, r.Ranks...)
-		}
-	}
+	sub, flat := body, body
+	sub.Subtree, flat.Subtree = true, false
+	ranks, errs := gatherSubtree(b, wire.TopicDmesg, sub, flat, func(r dmesgResp) {
+		parts = append(parts, r.Records)
+	})
+	out.Ranks, out.Errors = append(out.Ranks, ranks...), errs
 	out.Records = obs.DedupeRecords(obs.MergeRecords(parts...))
 	if body.Max > 0 && len(out.Records) > body.Max {
 		out.Records = out.Records[len(out.Records)-body.Max:]
@@ -157,18 +140,82 @@ func (b *Broker) gatherDmesg(body dmesgBody) dmesgResp {
 	return out
 }
 
-// dmesgRPC issues one cmb.dmesg query to a concrete rank.
-func (b *Broker) dmesgRPC(h *Handle, rank int, body dmesgBody, timeout time.Duration) (dmesgResp, error) {
-	var out dmesgResp
-	resp, err := h.RPCWithOptions(context.Background(), wire.TopicDmesg, uint32(rank), body,
+// gatherAnswer is a subtree gather's answer: it reports the ranks it
+// merged and a "rank N: err" line per rank it could not reach.
+type gatherAnswer interface {
+	coverage() (ranks []int, errs []string)
+}
+
+func (r dmesgResp) coverage() ([]int, []string) { return r.Ranks, r.Errors }
+func (r traceResp) coverage() ([]int, []string) { return r.Ranks, r.Errors }
+
+// gatherSubtree is the fan-out behind every subtree gather (cmb.dmesg,
+// cmb.trace). Each gather-child is asked for its own subtree (sub).
+// Every live rank of the child's static subtree that its answer
+// neither covers nor names as unreachable is then queried flat: all of
+// them when the child cannot run the gather (dead, restarting,
+// severed), so one dead interior rank costs its own share only, and
+// the ones a child missed because its membership view lags this
+// broker's (a joiner it has not heard of yet). add merges each
+// answer's payload; the walk returns the ranks merged and the
+// unreachable ones.
+func gatherSubtree[Q any, R gatherAnswer](b *Broker, topic string, sub, flat Q, add func(R)) (ranks []int, errs []string) {
+	h := b.NewHandle()
+	defer h.Close()
+	for _, child := range b.gatherChildren() {
+		rest := b.staticSubtree(child)
+		var r R
+		if err := queryRank(h, topic, child, sub, dmesgChildTimeout, &r); err == nil {
+			add(r)
+			got, bad := r.coverage()
+			ranks, errs = append(ranks, got...), append(errs, bad...)
+			rest = uncovered(rest, got, bad)
+		}
+		for _, rank := range rest {
+			var r R
+			if err := queryRank(h, topic, rank, flat, dmesgRankTimeout, &r); err != nil {
+				errs = append(errs, fmt.Sprintf("rank %d: %v", rank, err))
+				continue
+			}
+			add(r)
+			got, _ := r.coverage()
+			ranks = append(ranks, got...)
+		}
+	}
+	return ranks, errs
+}
+
+// uncovered returns the ranks of want that neither appear in got nor
+// are named by a "rank N: err" line of bad.
+func uncovered(want, got []int, bad []string) []int {
+	seen := make(map[int]bool, len(got)+len(bad))
+	for _, r := range got {
+		seen[r] = true
+	}
+	for _, line := range bad {
+		var r int
+		if _, err := fmt.Sscanf(line, "rank %d:", &r); err == nil {
+			seen[r] = true
+		}
+	}
+	out := want[:0]
+	for _, r := range want {
+		if !seen[r] {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// queryRank issues one rank-addressed telemetry RPC and decodes its
+// answer into out.
+func queryRank(h *Handle, topic string, rank int, body any, timeout time.Duration, out any) error {
+	resp, err := h.RPCWithOptions(context.Background(), topic, uint32(rank), body,
 		RPCOptions{Timeout: timeout})
 	if err != nil {
-		return out, err
+		return err
 	}
-	if err := resp.UnpackJSON(&out); err != nil {
-		return out, err
-	}
-	return out, nil
+	return resp.UnpackJSON(out)
 }
 
 // gatherChildren returns the live ranks whose nearest live ancestor is
@@ -296,6 +343,28 @@ type traceResp struct {
 	Errors []string   `json:"errors,omitempty"`
 }
 
+// serveTrace handles cmb.trace. Like serveDmesg, it answers a local
+// query on the broker loop and runs a gather as tracked background
+// work.
+func (b *Broker) serveTrace(m *wire.Message) {
+	var body traceBody
+	if len(m.Payload) > 0 {
+		if err := m.UnpackJSON(&body); err != nil {
+			b.respondErr(m, ErrnoInval, err.Error())
+			return
+		}
+	}
+	if !body.Gather {
+		b.respondBody(m, b.localTrace(body))
+		return
+	}
+	b.bg.Add(1)
+	go func() {
+		defer b.bg.Done()
+		b.respondBody(m, b.gatherTrace(body))
+	}()
+}
+
 func (b *Broker) localTrace(body traceBody) traceResp {
 	spans := b.traces.Snapshot(body.ID)
 	if spans == nil {
@@ -304,58 +373,17 @@ func (b *Broker) localTrace(body traceBody) traceResp {
 	return traceResp{Rank: b.cfg.Rank, Spans: spans, Ranks: []int{b.cfg.Rank}}
 }
 
-func (b *Broker) respondTrace(m *wire.Message, r traceResp) {
-	resp, err := wire.NewResponse(m, r)
-	if err != nil {
-		b.respondErr(m, ErrnoInval, err.Error())
-		return
-	}
-	b.routeResponse(inbound{msg: resp})
-}
-
 // gatherTrace tree-reduces the live subtree's span rings for one trace
-// id, mirroring gatherDmesg's fan-out and flat fallback.
+// id.
 func (b *Broker) gatherTrace(body traceBody) traceResp {
-	h := b.NewHandle()
-	defer h.Close()
 	out := b.localTrace(body)
-	for _, child := range b.gatherChildren() {
-		sub := body
-		sub.Gather = true
-		r, err := b.traceRPC(h, child, sub, dmesgChildTimeout)
-		if err == nil {
-			out.Spans = append(out.Spans, r.Spans...)
-			out.Ranks = append(out.Ranks, r.Ranks...)
-			out.Errors = append(out.Errors, r.Errors...)
-			continue
-		}
-		flat := body
-		flat.Gather = false
-		for _, rank := range b.staticSubtree(child) {
-			r, err := b.traceRPC(h, rank, flat, dmesgRankTimeout)
-			if err != nil {
-				out.Errors = append(out.Errors, fmt.Sprintf("rank %d: %v", rank, err))
-				continue
-			}
-			out.Spans = append(out.Spans, r.Spans...)
-			out.Ranks = append(out.Ranks, r.Ranks...)
-		}
-	}
+	sub, flat := body, body
+	sub.Gather, flat.Gather = true, false
+	ranks, errs := gatherSubtree(b, wire.TopicTrace, sub, flat, func(r traceResp) {
+		out.Spans = append(out.Spans, r.Spans...)
+	})
+	out.Ranks, out.Errors = append(out.Ranks, ranks...), errs
 	return out
-}
-
-// traceRPC issues one cmb.trace query to a concrete rank.
-func (b *Broker) traceRPC(h *Handle, rank int, body traceBody, timeout time.Duration) (traceResp, error) {
-	var out traceResp
-	resp, err := h.RPCWithOptions(context.Background(), wire.TopicTrace, uint32(rank), body,
-		RPCOptions{Timeout: timeout})
-	if err != nil {
-		return out, err
-	}
-	if err := resp.UnpackJSON(&out); err != nil {
-		return out, err
-	}
-	return out, nil
 }
 
 // FlightSnapshot captures this broker's flight-recorder state: recent
@@ -386,10 +414,10 @@ func (b *Broker) serveDump(m *wire.Message) {
 		Max int `json:"max,omitempty"`
 	}
 	if len(m.Payload) > 0 {
-		_ = m.UnpackJSON(&body) // a malformed body degrades to defaults
+		if err := m.UnpackJSON(&body); err != nil {
+			b.respondErr(m, ErrnoInval, err.Error())
+			return
+		}
 	}
-	resp, err := wire.NewResponse(m, b.FlightSnapshot(body.Max))
-	if err == nil {
-		b.routeResponse(inbound{msg: resp})
-	}
+	b.respondBody(m, b.FlightSnapshot(body.Max))
 }

@@ -121,3 +121,18 @@ func TestFlightSnapshotBounds(t *testing.T) {
 		t.Fatalf("snapshot metadata incomplete: %+v", fs)
 	}
 }
+
+// TestTelemetryRejectsMalformedBody: every telemetry request answers a
+// body that does not decode with EINVAL instead of falling back to
+// defaults.
+func TestTelemetryRejectsMalformedBody(t *testing.T) {
+	b := newBroker(t)
+	h := b.NewHandle()
+	defer h.Close()
+	for _, topic := range []string{wire.TopicDmesg, wire.TopicTrace, wire.TopicDump} {
+		_, err := h.RPC(topic, wire.NodeidAny, []int{1})
+		if !wire.IsErrnum(err, ErrnoInval) {
+			t.Errorf("%s with an array body: err = %v, want errnum %d", topic, err, ErrnoInval)
+		}
+	}
+}

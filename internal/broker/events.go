@@ -140,24 +140,7 @@ func (b *Broker) builtinRequest(m *wire.Message) bool {
 		}
 		return true
 	case "trace":
-		var body traceBody
-		if len(m.Payload) > 0 {
-			if err := m.UnpackJSON(&body); err != nil {
-				b.respondErr(m, ErrnoInval, err.Error())
-				return true
-			}
-		}
-		if body.Gather {
-			// The session-wide gather issues RPCs and must not block the
-			// loop; Shutdown waits for it through b.bg (like rmmod).
-			b.bg.Add(1)
-			go func() {
-				defer b.bg.Done()
-				b.respondTrace(m, b.gatherTrace(body))
-			}()
-			return true
-		}
-		b.respondTrace(m, b.localTrace(body))
+		b.serveTrace(m)
 		return true
 	case "dmesg":
 		b.serveDmesg(m)

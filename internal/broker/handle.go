@@ -111,15 +111,6 @@ func (h *Handle) Log(level int, sub, format string, args ...any) {
 // expensive diagnostics on Logger().Enabled(level).
 func (h *Handle) Logger() *obs.Logger { return h.b.log }
 
-// Logf routes a diagnostic line to the broker's log plane at warning
-// severity — the compatibility shim for module code reporting
-// background failures (a dropped event publish, a failed upstream
-// reduction) without its own logging plumbing. New code should use Log
-// with an explicit level and subsystem.
-func (h *Handle) Logf(format string, args ...any) {
-	h.b.log.Warnf("module", format, args...)
-}
-
 // deliver hands a message routed to the handle over, on the broker's
 // delivering goroutine. It reports false once the handle has shut down.
 //

@@ -32,7 +32,6 @@ import (
 	"fluxgo/internal/modules/group"
 	"fluxgo/internal/modules/hb"
 	"fluxgo/internal/modules/live"
-	"fluxgo/internal/modules/logmod"
 	"fluxgo/internal/modules/wexec"
 	"fluxgo/internal/resource"
 	"fluxgo/internal/sched"
@@ -94,7 +93,6 @@ func standardModules(opts Options) []session.ModuleFactory {
 		kvs.Factory(kvs.ModuleConfig{}),
 		hb.Factory(hb.Config{Interval: opts.HBInterval}),
 		live.Factory(live.Config{}),
-		logmod.Factory(logmod.Config{}),
 		group.Factory,
 		barrier.Factory,
 		wexec.Factory(wexec.Config{Programs: opts.Programs}),

@@ -17,9 +17,8 @@ import (
 	"time"
 )
 
-// Severity levels, syslog-numbered (lower is more severe) to match the
-// log comms module's wire protocol: a record's Level is comparable
-// across the log plane and the "log" service without translation.
+// Severity levels, syslog-numbered (lower is more severe). They are the
+// levels of fluxgo.Log too: this log plane is Table I's log module.
 const (
 	LevelErr    = 3
 	LevelWarn   = 4

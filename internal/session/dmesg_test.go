@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fluxgo/internal/obs"
+	"fluxgo/internal/transport"
 	"fluxgo/internal/wire"
 )
 
@@ -155,7 +156,8 @@ func TestHeartbeatLogForwarding(t *testing.T) {
 			continue
 		}
 		s.Broker(r).Logger().Warnf("test", "fwd-marker from rank %d", r)
-		// Debug records must NOT be forwarded.
+		// Info and debug records must NOT be forwarded.
+		s.Broker(r).Logger().Infof("test", "info-marker from rank %d", r)
 		s.Broker(r).Logger().Debugf("test", "debug-marker from rank %d", r)
 	}
 
@@ -173,8 +175,8 @@ func TestHeartbeatLogForwarding(t *testing.T) {
 		got := ranksWithMarker(fwd, "fwd-marker")
 		if len(got) == want {
 			for _, rec := range fwd {
-				if strings.Contains(rec.Msg, "debug-marker") {
-					t.Fatal("debug record leaked into the forwarding plane")
+				if rec.Level > obs.LevelWarn {
+					t.Fatalf("record %q leaked into the forwarding plane", rec.Msg)
 				}
 			}
 			break
@@ -232,6 +234,18 @@ func TestDmesgRPCLevels(t *testing.T) {
 	if len(ranksWithMarker(body.Records, "warn-only")) != 1 {
 		t.Fatal("warn record missing from rank-local dmesg")
 	}
+
+	// max keeps the newest records.
+	resp, err = h.RPC(wire.TopicDmesg, 1, map[string]any{"max": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resp.UnpackJSON(&body); err != nil {
+		t.Fatal(err)
+	}
+	if len(body.Records) != 1 || body.Records[0].Msg != "info-only" {
+		t.Fatalf("max 1 returned %+v, want the newest record only", body.Records)
+	}
 }
 
 // TestFlightRecorderChaosDump wires the recorder to a session, crashes
@@ -250,6 +264,8 @@ func TestFlightRecorderChaosDump(t *testing.T) {
 	for _, r := range s.LiveRanks() {
 		s.Broker(r).Logger().Warnf("test", "pre-fault %d", r)
 	}
+	// Debug context never leaves its rank until a dump pulls it.
+	s.Broker(4).Logger().Debugf("test", "pre-fault debug context")
 	if err := s.Chaos().Crash(3); err != nil {
 		t.Fatalf("crash: %v", err)
 	}
@@ -267,7 +283,7 @@ func TestFlightRecorderChaosDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"reason": "crash-rank3"`, `"pre-fault 0"`, `"metrics"`} {
+	for _, want := range []string{`"reason": "crash-rank3"`, `"pre-fault 0"`, `"pre-fault debug context"`, `"metrics"`} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("dump missing %s", want)
 		}
@@ -282,5 +298,41 @@ func TestFlightRecorderChaosDump(t *testing.T) {
 	written, suppressed := rec.Dumps()
 	if written != DefaultMaxDumps || suppressed < 2 {
 		t.Fatalf("written=%d suppressed=%d, want cap at %d", written, suppressed, DefaultMaxDumps)
+	}
+}
+
+// TestDmesgGatherLaggingView gathers right after a grow while the
+// joiner's parent has not yet heard of it: everything its own parent
+// sends it, the join event and the view it pulls on seeing a newer
+// epoch included, is delayed. Its subtree answer omits the joiner, so
+// the gather must query the joiner itself rather than drop it
+// silently.
+func TestDmesgGatherLaggingView(t *testing.T) {
+	s, err := New(Options{Size: 7, Arity: 2, FaultInjection: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+
+	s.Chaos().SetLinkFaults(1, 3, transport.Faults{Delay: 300 * time.Millisecond})
+	joiner, err := s.Grow(1) // rank 7, child of rank 3
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := s.Tree().Parent(joiner); p != 3 {
+		t.Fatalf("joiner %d has parent %d, want 3", joiner, p)
+	}
+	s.Broker(joiner).Logger().Warnf("test", "joiner-marker")
+
+	recs, ranks := dmesgGather(t, s, obs.LevelWarn)
+	found := false
+	for _, r := range ranks {
+		found = found || r == joiner
+	}
+	if !found {
+		t.Errorf("joiner %d missing from the gather's rank set %v", joiner, ranks)
+	}
+	if !ranksWithMarker(recs, "joiner-marker")[joiner] {
+		t.Error("joiner's record missing from the gather")
 	}
 }

@@ -2,6 +2,7 @@ package session
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -182,4 +183,66 @@ func TestTraceRecordsHostUnreach(t *testing.T) {
 			failed.Parent, failed)
 	}
 	<-done
+}
+
+// TestTraceGatherAfterKill gathers one trace at rank 0 after killing
+// an interior rank: the dead rank's gather falls back to flat queries
+// of its subtree, so the survivors' spans come back and the dead rank
+// is named in Errors.
+func TestTraceGatherAfterKill(t *testing.T) {
+	const size = 7 // 0 | 1 2 | 3 4 5 6
+	s, err := New(Options{Size: size, Arity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+
+	leaf := s.Handle(6)
+	defer leaf.Close()
+	resp, err := leaf.RPC(wire.TopicPub, wire.NodeidAny,
+		map[string]any{"topic": "trace.kill", "payload": map[string]int{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := resp.TraceID
+	deadline := time.Now().Add(5 * time.Second)
+	for len(collectSpans(s, id)) < 3+3+size { // request, response, events
+		if time.Now().After(deadline) {
+			t.Fatalf("trace has %d spans, want %d", len(collectSpans(s, id)), 3+3+size)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := s.Kill(2); err != nil {
+		t.Fatal(err)
+	}
+
+	h := s.Handle(0)
+	defer h.Close()
+	tresp, err := h.RPC(wire.TopicTrace, 0, map[string]any{"id": id, "gather": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Spans  []obs.Span `json:"spans"`
+		Ranks  []int      `json:"ranks"`
+		Errors []string   `json:"errors"`
+	}
+	if err := tresp.UnpackJSON(&body); err != nil {
+		t.Fatal(err)
+	}
+	spanRanks := map[int]bool{}
+	for _, sp := range body.Spans {
+		spanRanks[sp.Rank] = true
+	}
+	for _, r := range []int{0, 1, 3, 4, 5, 6} {
+		if !spanRanks[r] {
+			t.Errorf("no span from survivor rank %d (ranks %v, errors %v)", r, body.Ranks, body.Errors)
+		}
+	}
+	if spanRanks[2] {
+		t.Error("killed rank 2 contributed spans")
+	}
+	if len(body.Errors) != 1 || !strings.HasPrefix(body.Errors[0], "rank 2: ") {
+		t.Errorf("errors = %q, want one naming rank 2", body.Errors)
+	}
 }

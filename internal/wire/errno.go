@@ -51,16 +51,12 @@ var OpErrnos = map[string][]int32{
 	TopicRestart: {ErrnoInval, ErrnoNoSys},
 	TopicDmesg:   {ErrnoInval},
 	TopicLogFwd:  {ErrnoInval},
-	TopicDump:    {},
+	TopicDump:    {ErrnoInval},
 
 	// Barrier service.
 	"barrier.enter": {ErrnoInval, ErrnoProto},
 	"barrier.done":  {ErrnoProto},
 	"barrier.stats": {},
-
-	// Log aggregation service.
-	"log.append": {ErrnoInval},
-	"log.dump":   {ErrnoInval},
 
 	// Resource service.
 	"resrc.alloc": {ErrnoInval, ErrnoNoEnt, ErrnoProto},
