@@ -17,7 +17,7 @@ GO ?= go
 # Hot-path packages covered by `make bench` / the CI bench job.
 BENCH_PKGS = ./internal/wire/ ./internal/broker/ ./internal/kvs/ ./internal/cas/ ./internal/obs/ ./cmd/fluxlint/
 
-.PHONY: build test check chaos recovery vet lint debuglock fuzz bench benchdiff
+.PHONY: build test check chaos recovery vet lint debuglock fuzz bench benchdiff leftovers
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,14 @@ test:
 check: vet lint
 	$(GO) test -race ./...
 
+# Fails while any test binary, go build or run, or benchmark process is
+# still running: run it after a suite to catch a test that leaves a
+# process behind. (The recipe's own shell names the pattern and grep,
+# so the grep -v drops it.)
+leftovers:
+	@left=$$(ps -eo pid,etime,cmd | grep -E 'flux-bench|\.test|go-build|go run' | grep -v grep); \
+	if [ -n "$$left" ]; then echo "processes left running:"; echo "$$left"; exit 1; fi
+
 # Race suite with the runtime lock-order checker compiled in.
 debuglock:
 	$(GO) test -race -tags debuglock ./...
@@ -53,8 +61,9 @@ debuglock:
 chaos:
 	$(GO) test -race -run 'TestChaosSoak' -v ./internal/session/
 
-# Fuzzing, 10 s per target: the binary kvs.fence body (FuzzFenceBody),
-# the kvs.load request and response bodies (FuzzLoadBody), the in-place
+# Fuzzing, 10 s per target: the kvs.fence body, binary and JSON
+# (FuzzFenceBody), the binary kvs.load request and response bodies,
+# which have no JSON form (FuzzLoadBody), the in-place
 # directory readers (FuzzDirLookup), the merge write path against
 # the map-based reference (FuzzApplyOps) and the broker's event
 # recipient table against the per-event scan (FuzzEventRecipients).

@@ -39,6 +39,7 @@
 package main
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -330,7 +331,7 @@ func cmdEvent(c *client.Client, args []string) {
 		for {
 			select {
 			case ev := <-sub.Chan():
-				fmt.Printf("[%d] %s %s\n", ev.Seq, ev.Topic, ev.Payload)
+				fmt.Printf("[%d] %s %s\n", ev.Seq, ev.Topic, payloadText(ev.Payload))
 			case <-sig:
 				return
 			}
@@ -338,6 +339,15 @@ func cmdEvent(c *client.Client, args []string) {
 	default:
 		usage()
 	}
+}
+
+// payloadText renders an event payload for the terminal: a JSON
+// payload as is, a binary body (kvs.setroot's, say) as hex.
+func payloadText(payload []byte) string {
+	if wire.IsBinaryBody(payload) {
+		return hex.EncodeToString(payload)
+	}
+	return string(payload)
 }
 
 func cmdRun(c *client.Client, args []string) {

@@ -416,25 +416,8 @@ type Broker struct {
 	recipAt  uint64
 	recipTab map[string]*eventRecipients
 
-	// binBodies selects the encoding of the hot services' bodies
-	// (kvs.get/load/put, barrier enter, cmb.pub): the length-prefixed
-	// binary codec (wire.BinWriter/BinReader) when set, JSON otherwise.
-	// Every broker starts with it set and advertises it in cmb.join; the
-	// handshake clears it on a joiner whose parent does not echo it.
-	// Decoders always sniff, so either way peers interoperate.
-	binBodies atomic.Bool
-
 	done chan struct{} // closed once every shard worker has exited
 }
-
-// BinaryBodies reports whether hot services at this broker encode
-// payloads with the binary body codec.
-func (b *Broker) BinaryBodies() bool { return b.binBodies.Load() }
-
-// SetBinaryBodies flips the binary-body preference. The join handshake
-// uses it to downgrade to JSON under a parent that does not advertise
-// support, and mixed-encoding tests to stand up a JSON-only rank.
-func (b *Broker) SetBinaryBodies(on bool) { b.binBodies.Store(on) }
 
 // shard is one dispatch lane of the broker's sharded routing core. It
 // is a combining lock: a submitter that finds the shard idle — nothing
@@ -674,7 +657,6 @@ func New(cfg Config) (*Broker, error) {
 		s.cond = sync.NewCond(&s.mu)
 		b.shards[i] = s
 	}
-	b.binBodies.Store(true)
 	b.publishLinksLocked()
 	b.publishModulesLocked()
 	for r := cfg.Rank; tree.Parent(r) >= 0; r = tree.Parent(r) {

@@ -29,6 +29,8 @@ type eventRec struct {
 // cache recent events so a re-parented child can resync without gaps.
 
 // pubBody is the payload of a cmb.pub request: the event to publish.
+// Brokers send it binary (Handle.PublishEvent); this JSON form is what
+// external tools such as `flux event pub` send.
 type pubBody struct {
 	Topic   string          `json:"topic"`
 	Payload json.RawMessage `json:"payload"`

@@ -80,12 +80,6 @@ func (h *Handle) Clock() clock.Clock { return h.b.cfg.Clock }
 // Broker returns the handle's broker (for introspection).
 func (h *Handle) Broker() *Broker { return h.b }
 
-// BinaryBodies reports whether this broker's hot services should encode
-// payloads with the compact binary body codec (wire.BinWriter) instead
-// of JSON. Decoders sniff per message, so the setting only gates the
-// encode side.
-func (h *Handle) BinaryBodies() bool { return h.b.binBodies.Load() }
-
 // LiveSize returns the number of live ranks in the broker's current
 // membership view (Size is the founding size and never changes).
 func (h *Handle) LiveSize() int { return h.b.LiveSize() }
@@ -364,8 +358,9 @@ func (h *Handle) ForwardUpstream(req *wire.Message) error {
 
 // PublishEvent publishes an event session-wide via the root sequencer
 // and returns the assigned sequence number. A wire.RawBody body is the
-// payload verbatim (a binary one needs BinaryBodies: the JSON cmb.pub
-// envelope carries only JSON); any other body is JSON-encoded.
+// payload verbatim; any other body is JSON-encoded. The cmb.pub
+// envelope itself is always the binary body (topic, payload), which
+// carries either kind of payload without re-encoding it.
 func (h *Handle) PublishEvent(topic string, body any) (uint64, error) {
 	if body == nil {
 		body = struct{}{}
@@ -379,16 +374,10 @@ func (h *Handle) PublishEvent(topic string, body any) (uint64, error) {
 			return 0, fmt.Errorf("broker: publish %s: %w", topic, err)
 		}
 	}
-	var req any = pubBody{Topic: topic, Payload: raw}
-	if h.b.binBodies.Load() {
-		// Binary codec v3: skip the pub envelope's JSON re-marshal (which
-		// would re-encode the already-marshaled event payload).
-		w := wire.NewBinWriter(len(topic) + len(raw) + 8)
-		w.String(topic)
-		w.Bytes(raw)
-		req = wire.RawBody(w.Finish())
-	}
-	resp, err := h.RPC(wire.TopicPub, wire.NodeidAny, req)
+	w := wire.NewBinWriter(len(topic) + len(raw) + 8)
+	w.String(topic)
+	w.Bytes(raw)
+	resp, err := h.RPC(wire.TopicPub, wire.NodeidAny, wire.RawBody(w.Finish()))
 	if err != nil {
 		return 0, err
 	}

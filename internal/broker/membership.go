@@ -40,11 +40,6 @@ type joinBody struct {
 	Session     string `json:"session"`
 	WireVersion int    `json:"wire_version"`
 	Rank        int    `json:"rank"`
-	// BinBodies advertises that this joiner can emit binary-coded (codec
-	// v3) bodies on hot services. Decoders always sniff, so the flag only
-	// matters for the downgrade direction: a joiner keeps binary on iff
-	// the parent echoes the capability back (older parents omit it).
-	BinBodies bool `json:"bin_bodies,omitempty"`
 }
 
 // Epoch returns the membership epoch this broker currently operates
@@ -335,7 +330,6 @@ func (b *Broker) serveJoin(m *wire.Message) {
 		"size":           b.RankSpace(),
 		"live":           live,
 		"last_event_seq": b.LastEventSeq(),
-		"bin_bodies":     b.binBodies.Load(),
 	})
 	if err == nil {
 		b.routeResponse(inbound{msg: resp})
@@ -465,22 +459,7 @@ func (h *Handle) JoinSession(ctx context.Context, retries int) error {
 		Session:     h.b.cfg.SessionID,
 		WireVersion: wire.Version(),
 		Rank:        h.b.cfg.Rank,
-		BinBodies:   h.b.binBodies.Load(),
 	}
-	resp, err := h.RPCWithOptions(ctx, wire.TopicJoin, wire.NodeidUpstream, body, RPCOptions{Retries: retries})
-	if err != nil {
-		return err
-	}
-	if h.b.binBodies.Load() {
-		// Binary bodies stay on only when the parent echoes the capability;
-		// a parent that omits it (an older session) gets plain JSON.
-		var ack struct {
-			BinBodies bool `json:"bin_bodies"`
-		}
-		if resp.UnpackJSON(&ack) != nil || !ack.BinBodies {
-			h.b.SetBinaryBodies(false)
-			h.b.log.Infof(wire.ServiceCMB, "parent does not speak binary bodies; falling back to JSON")
-		}
-	}
-	return nil
+	_, err := h.RPCWithOptions(ctx, wire.TopicJoin, wire.NodeidUpstream, body, RPCOptions{Retries: retries})
+	return err
 }

@@ -1,17 +1,18 @@
 package kvs
 
 import (
+	"errors"
 	"fmt"
 
 	"fluxgo/internal/cas"
 	"fluxgo/internal/wire"
 )
 
-// Binary-coded (codec v3) forms of the hot kvs wire bodies. A broker
-// encodes them unless the join handshake found a JSON-only parent (its
-// BinaryBodies flag); decoding always sniffs, so binary and JSON peers
-// interoperate on the same link, and responses follow the encoding of
-// the request that produced them.
+// Binary-coded (codec v3) forms of the hot kvs wire bodies: the one
+// encoding brokers send each other. kvs.load and kvs.setroot have no
+// other form. The decoders of the requests an external tool sends
+// (kvs.put, kvs.get, kvs.fence) also accept JSON, and a module answers
+// a JSON request with JSON.
 
 func (b putBody) bin() wire.RawBody {
 	w := wire.NewBinWriter(len(b.Key) + len(b.Ref) + len(b.Data) + 8)
@@ -36,31 +37,31 @@ func setrootBin(root cas.Ref, version uint64) wire.RawBody {
 	return w.Finish()
 }
 
-// decodeSetroot reads a kvs.setroot event body in either encoding: the
-// binary form, or the JSON rootBody a JSON-only master publishes.
+// decodeSetroot reads a kvs.setroot event body. Only the master
+// publishes setroot, in the binary form, so any other body (a JSON one
+// an outside tool published through cmb.pub) is an error.
 func decodeSetroot(m *wire.Message) (root cas.Ref, version uint64, err error) {
-	if r, ok := wire.NewBinReader(m.Payload); ok {
-		raw := r.View()
-		version = r.Uint()
-		if err := r.Err(); err != nil {
-			return root, 0, err
-		}
-		switch len(raw) {
-		case 0:
-		case cas.RefLen:
-			copy(root[:], raw)
-		default:
-			return root, 0, fmt.Errorf("kvs: setroot ref field of %d bytes, want 0 or %d", len(raw), cas.RefLen)
-		}
-		return root, version, nil
+	r, ok := wire.NewBinReader(m.Payload)
+	if !ok {
+		return root, 0, errNotBinary
 	}
-	var body rootBody
-	if err := m.UnpackJSON(&body); err != nil {
+	raw := r.View()
+	version = r.Uint()
+	if err := r.Err(); err != nil {
 		return root, 0, err
 	}
-	root, err = parseRootRef(body.Root)
-	return root, body.Version, err
+	switch len(raw) {
+	case 0:
+	case cas.RefLen:
+		copy(root[:], raw)
+	default:
+		return root, 0, fmt.Errorf("kvs: setroot ref field of %d bytes, want 0 or %d", len(raw), cas.RefLen)
+	}
+	return root, version, nil
 }
+
+// errNotBinary rejects a non-binary body on a topic only brokers send.
+var errNotBinary = errors.New("kvs: body is not binary-coded")
 
 func decodePutBody(m *wire.Message) (body putBody, err error) {
 	if r, ok := wire.NewBinReader(m.Payload); ok {
@@ -85,62 +86,30 @@ func (b loadBody) bin() wire.RawBody {
 	return w.Finish()
 }
 
-// jsonForm is the hex form a JSON-only peer reads.
-func (b loadBody) jsonForm() loadBodyJSON {
-	hex := make([]string, len(b.Refs))
-	for i, ref := range b.Refs {
-		hex[i] = ref.String()
-	}
-	return loadBodyJSON{Refs: hex}
-}
-
-// decodeLoadBody accepts either encoding. A request naming no reference
-// or more than maxLoadBatch (fetchBatch never sends more), a malformed
-// hex reference, or a raw field whose length is not a multiple of
-// cas.RefLen is an error.
+// decodeLoadBody reads a binary kvs.load request. A body that is not
+// binary, a raw field whose length is not a multiple of cas.RefLen, or
+// a request naming no reference or more than maxLoadBatch (fetchBatch
+// never sends more) is an error.
 func decodeLoadBody(m *wire.Message) (body loadBody, err error) {
-	if r, ok := wire.NewBinReader(m.Payload); ok {
-		raw := r.View()
-		if err := r.Err(); err != nil {
-			return body, err
-		}
-		if len(raw)%cas.RefLen != 0 {
-			return body, fmt.Errorf("kvs: load refs field of %d bytes is not a multiple of %d", len(raw), cas.RefLen)
-		}
-		if err := checkLoadCount(len(raw) / cas.RefLen); err != nil {
-			return body, err
-		}
-		body.Refs = make([]cas.Ref, len(raw)/cas.RefLen)
-		for i := range body.Refs {
-			copy(body.Refs[i][:], raw[i*cas.RefLen:])
-		}
-		return body, nil
+	r, ok := wire.NewBinReader(m.Payload)
+	if !ok {
+		return body, errNotBinary
 	}
-	var j loadBodyJSON
-	if err = m.UnpackJSON(&j); err != nil {
+	raw := r.View()
+	if err := r.Err(); err != nil {
 		return body, err
 	}
-	hex := j.Refs
-	if len(hex) == 0 {
-		hex, body.Single = []string{j.Ref}, true
+	if len(raw)%cas.RefLen != 0 {
+		return body, fmt.Errorf("kvs: load refs field of %d bytes is not a multiple of %d", len(raw), cas.RefLen)
 	}
-	if err := checkLoadCount(len(hex)); err != nil {
-		return body, err
+	if n := len(raw) / cas.RefLen; n == 0 || n > maxLoadBatch {
+		return body, fmt.Errorf("kvs: load of %d refs, want 1 to %d", n, maxLoadBatch)
 	}
-	body.Refs = make([]cas.Ref, len(hex))
-	for i, h := range hex {
-		if body.Refs[i], err = cas.ParseRef(h); err != nil {
-			return loadBody{}, err
-		}
+	body.Refs = make([]cas.Ref, len(raw)/cas.RefLen)
+	for i := range body.Refs {
+		copy(body.Refs[i][:], raw[i*cas.RefLen:])
 	}
 	return body, nil
-}
-
-func checkLoadCount(n int) error {
-	if n == 0 || n > maxLoadBatch {
-		return fmt.Errorf("kvs: load of %d refs, want 1 to %d", n, maxLoadBatch)
-	}
-	return nil
 }
 
 // bin lays the objects out as a count and then one field per requested
@@ -159,51 +128,27 @@ func (b loadResp) bin() wire.RawBody {
 	return w.Finish()
 }
 
-// jsonForm is the form a JSON-only requester reads: Data for its
-// single-ref request, else the objects it asked for keyed by hex ref.
-func (b loadResp) jsonForm(req loadBody) loadRespJSON {
-	if req.Single {
-		return loadRespJSON{Data: b.Objects[0]}
-	}
-	objects := make(map[string][]byte, len(b.Objects))
-	for i, o := range b.Objects {
-		if o != nil {
-			objects[req.Refs[i].String()] = o
-		}
-	}
-	return loadRespJSON{Objects: objects}
-}
-
-// decodeLoadResp decodes the answer to a batched request for refs into
-// request order. A binary answer's objects alias m.Payload (the caller
-// copies what it keeps and holds m until then); one whose count differs
-// from len(refs) is an error.
+// decodeLoadResp decodes the binary answer to a request for refs into
+// request order. The objects alias m.Payload (the caller copies what it
+// keeps and holds m until then). A body that is not binary, or one
+// whose count differs from len(refs), is an error.
 func decodeLoadResp(m *wire.Message, refs []cas.Ref) (body loadResp, err error) {
-	if r, ok := wire.NewBinReader(m.Payload); ok {
-		n := r.Count()
-		if err := r.Err(); err != nil {
-			return body, err
-		}
-		if n != len(refs) {
-			return body, fmt.Errorf("kvs: load response carries %d objects for %d refs", n, len(refs))
-		}
-		body.Objects = make([][]byte, n)
-		for i := range body.Objects {
-			body.Objects[i] = r.View()
-		}
-		return body, r.Err()
+	r, ok := wire.NewBinReader(m.Payload)
+	if !ok {
+		return body, errNotBinary
 	}
-	var j loadRespJSON
-	if err = m.UnpackJSON(&j); err != nil {
+	n := r.Count()
+	if err := r.Err(); err != nil {
 		return body, err
 	}
-	body.Objects = make([][]byte, len(refs))
-	for i, ref := range refs {
-		if o := j.Objects[ref.String()]; len(o) > 0 {
-			body.Objects[i] = o
-		}
+	if n != len(refs) {
+		return body, fmt.Errorf("kvs: load response carries %d objects for %d refs", n, len(refs))
 	}
-	return body, nil
+	body.Objects = make([][]byte, n)
+	for i := range body.Objects {
+		body.Objects[i] = r.View()
+	}
+	return body, r.Err()
 }
 
 func (b getBody) bin() wire.RawBody {
@@ -237,22 +182,17 @@ func (b getResp) bin() wire.RawBody {
 	return w.Finish()
 }
 
+// decodeGetResp reads the binary answer to a broker's kvs.get; a body
+// that is not binary is an error.
 func decodeGetResp(m *wire.Message) (body getResp, err error) {
-	if r, ok := wire.NewBinReader(m.Payload); ok {
-		r.Fixed(body.Ref[:])
-		body.Val = r.Bytes()
-		body.Dir = r.StringSlice()
-		return body, r.Err()
+	r, ok := wire.NewBinReader(m.Payload)
+	if !ok {
+		return body, errNotBinary
 	}
-	var j getRespJSON
-	if err = m.UnpackJSON(&j); err != nil {
-		return body, err
-	}
-	if body.Ref, err = cas.ParseRef(j.Ref); err != nil {
-		return body, err
-	}
-	body.Val, body.Dir = j.Val, j.Dir
-	return body, nil
+	r.Fixed(body.Ref[:])
+	body.Val = r.Bytes()
+	body.Dir = r.StringSlice()
+	return body, r.Err()
 }
 
 // bin lays a fence batch out as name, nprocs, the entries (each an ID

@@ -15,15 +15,16 @@ import (
 
 	"fluxgo/internal/broker"
 	"fluxgo/internal/cas"
-	extclient "fluxgo/internal/client"
+	"fluxgo/internal/modules/barrier"
 	"fluxgo/internal/session"
-	"fluxgo/internal/transport"
 	"fluxgo/internal/wire"
 )
 
 // TestBinBodyRoundTrip checks every binary-coded kvs body survives an
-// encode/decode cycle, and that the same decoder accepts the JSON form —
-// the sniff that makes codec v3 a pure encoder-side opt-in.
+// encode/decode cycle; that the decoders of requests an external tool
+// sends (put, fence) also accept their JSON form; and that the bodies
+// only brokers send (load requests and responses, get responses) have
+// no JSON form.
 func TestBinBodyRoundTrip(t *testing.T) {
 	put := putBody{Key: "a.b", Ref: "deadbeef", Data: []byte{1, 2, 3, 0xB3}}
 	msg := &wire.Message{Payload: []byte(put.bin())}
@@ -40,30 +41,16 @@ func TestBinBodyRoundTrip(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, load) {
 			t.Fatalf("loadBody binary round trip: got %+v, %v; want %+v", got, err, load)
 		}
-		jm, err := wire.NewRequest("kvs.load", wire.NodeidAny, load.jsonForm())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err = decodeLoadBody(jm); err != nil || !reflect.DeepEqual(got, load) {
-			t.Fatalf("loadBody JSON decode: got %+v, %v; want %+v", got, err, load)
-		}
 	}
 	one := cas.HashOf([]byte("one"))
-	single, err := wire.NewRequest("kvs.load", wire.NodeidAny, loadBodyJSON{Ref: one.String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := decodeLoadBody(single); err != nil || !reflect.DeepEqual(got, loadBody{Refs: []cas.Ref{one}, Single: true}) {
-		t.Fatalf("single-ref JSON loadBody decode: got %+v, %v", got, err)
-	}
 	for _, bad := range [][]byte{
 		{wire.BinMagic, 0}, // no refs
 		append([]byte{wire.BinMagic, 19}, one[:19]...),          // a short ref
 		append([]byte{wire.BinMagic, 21}, append(one[:], 0)...), // a ref and a byte
 		{wire.BinMagic, 40, 1, 2},                               // truncated
 		loadBody{Refs: make([]cas.Ref, maxLoadBatch+1)}.bin(),   // one ref past the batch cap
-		[]byte(`{"refs":["zz"]}`),
-		[]byte(`{}`),
+		[]byte(`{"refs":["` + one.String() + `"]}`),             // JSON
+		[]byte(`{"ref":"` + one.String() + `"}`),
 	} {
 		if got, err := decodeLoadBody(&wire.Message{Payload: bad}); err == nil {
 			t.Fatalf("load body % x decoded without error: %+v", bad, got)
@@ -75,19 +62,12 @@ func TestBinBodyRoundTrip(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, c.resp) {
 			t.Fatalf("loadResp binary round trip: got %+v, %v; want %+v", got, err, c.resp)
 		}
-		jm := &wire.Message{Topic: "kvs.load"}
-		if err := jm.PackJSON(c.resp.jsonForm(loadBody{Refs: c.refs})); err != nil {
-			t.Fatal(err)
-		}
-		if got, err = decodeLoadResp(jm, c.refs); err != nil || !reflect.DeepEqual(got, c.resp) {
-			t.Fatalf("loadResp JSON decode: got %+v, %v; want %+v", got, err, c.resp)
-		}
 		if _, err := decodeLoadResp(&wire.Message{Payload: c.resp.bin()}, c.refs[1:]); err == nil {
 			t.Fatalf("a %d-object response decoded for %d refs", len(c.refs), len(c.refs)-1)
 		}
 	}
-	if js := (loadResp{Objects: [][]byte{{7}}}).jsonForm(loadBody{Refs: []cas.Ref{one}, Single: true}); !bytes.Equal(js.Data, []byte{7}) || js.Objects != nil {
-		t.Fatalf("single-ref JSON response = %+v, want Data only", js)
+	if _, err := decodeLoadResp(&wire.Message{Payload: []byte(`{"objects":{}}`)}, []cas.Ref{one}); err == nil {
+		t.Fatal("a JSON load response decoded")
 	}
 
 	get := getBody{Key: "a.b", Root: "0123"}
@@ -99,24 +79,21 @@ func TestBinBodyRoundTrip(t *testing.T) {
 		{Ref: cas.HashOf([]byte("v1")), Val: []byte(`{"k":1}`)},
 		{Ref: cas.HashOf([]byte("d")), Dir: []string{"a", "b"}},
 	} {
-		for form, payload := range map[string][]byte{"binary": want.bin(), "json": nil} {
-			m := &wire.Message{Topic: "kvs.get", Payload: payload}
-			if payload == nil {
-				if err := m.PackJSON(getRespJSON{Ref: want.Ref.String(), Val: want.Val, Dir: want.Dir}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := decodeGetResp(m)
-			if err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("getResp %s round trip: got %+v, %v; want %+v", form, got, err, want)
-			}
+		got, err := decodeGetResp(&wire.Message{Topic: "kvs.get", Payload: want.bin()})
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("getResp round trip: got %+v, %v; want %+v", got, err, want)
 		}
 	}
-	if _, err := decodeGetResp(&wire.Message{Payload: []byte{wire.BinMagic, 3, 1, 2, 3, 0, 0}}); err == nil {
-		t.Fatal("a 3-byte reference decoded without error")
+	for _, bad := range [][]byte{
+		{wire.BinMagic, 3, 1, 2, 3, 0, 0},                // a 3-byte reference
+		[]byte(`{"ref":"` + one.String() + `","val":1}`), // JSON
+	} {
+		if _, err := decodeGetResp(&wire.Message{Payload: bad}); err == nil {
+			t.Fatalf("get response %q decoded without error", bad)
+		}
 	}
 
-	// JSON forms hit the same decoders through the sniff-miss path.
+	// An external tool's JSON put decodes through the sniff-miss path.
 	jm, err := wire.NewRequest("kvs.put", wire.NodeidAny, put)
 	if err != nil {
 		t.Fatal(err)
@@ -314,11 +291,12 @@ func jsonCarries(b fenceBody) bool {
 	return ok
 }
 
-// FuzzLoadBody holds the kvs.load codecs to their rules on any request
-// and response payload: decoding never panics; a binary request whose
-// ref field is not a whole number of references, and a binary response
-// whose object count differs from the request's ref count, are errors;
-// and whatever is accepted survives an encode/decode round trip.
+// FuzzLoadBody holds the kvs.load codec to its rules on any request and
+// response payload: decoding never panics; a body that is not binary, a
+// request whose ref field is not a whole number of references, and a
+// response whose object count differs from the request's ref count are
+// errors; and whatever is accepted survives an encode/decode round trip.
+// The JSON-shaped seeds are what a tool might send on the topic.
 func FuzzLoadBody(f *testing.F) {
 	bodies := loadBodies()
 	for i, c := range loadResps() {
@@ -327,15 +305,21 @@ func FuzzLoadBody(f *testing.F) {
 		f.Add(req, resp)
 		f.Add(req[:len(req)-1], resp[:len(resp)-1])
 		f.Add([]byte(bodies[i%len(bodies)].bin()), resp)
-		js, err := json.Marshal(c.resp.jsonForm(loadBody{Refs: c.refs}))
+		hex := make([]string, len(c.refs))
+		objects := map[string][]byte{}
+		for j, ref := range c.refs {
+			hex[j] = ref.String()
+			objects[hex[j]] = c.resp.Objects[j]
+		}
+		jreq, err := json.Marshal(map[string][]string{"refs": hex})
 		if err != nil {
 			f.Fatal(err)
 		}
-		jreq, err := json.Marshal(loadBody{Refs: c.refs}.jsonForm())
+		jresp, err := json.Marshal(map[string]any{"objects": objects})
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(jreq, js)
+		f.Add(jreq, jresp)
 	}
 	f.Fuzz(checkLoadBody)
 }
@@ -347,19 +331,15 @@ func checkLoadBody(t *testing.T, reqData, respData []byte) {
 		t.Fatalf("a %d-byte ref field decoded: %+v", n, req)
 	}
 	if err == nil {
+		if !wire.IsBinaryBody(reqData) {
+			t.Fatalf("a non-binary request decoded: %+v", req)
+		}
 		if len(req.Refs) == 0 || len(req.Refs) > maxLoadBatch {
 			t.Fatalf("a request naming %d refs decoded", len(req.Refs))
 		}
 		again, err := decodeLoadBody(&wire.Message{Payload: req.bin()})
-		if err != nil || !reflect.DeepEqual(again.Refs, req.Refs) || again.Single {
-			t.Fatalf("binary round trip: got %+v, %v; want %+v", again, err, req.Refs)
-		}
-		jm, err := wire.NewRequest("kvs.load", wire.NodeidAny, req.jsonForm())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again, err = decodeLoadBody(jm); err != nil || !reflect.DeepEqual(again.Refs, req.Refs) {
-			t.Fatalf("JSON round trip: got %+v, %v; want %+v", again, err, req.Refs)
+		if err != nil || !reflect.DeepEqual(again, req) {
+			t.Fatalf("binary round trip: got %+v, %v; want %+v", again, err, req)
 		}
 		refs = req.Refs
 	}
@@ -370,6 +350,9 @@ func checkLoadBody(t *testing.T, reqData, respData []byte) {
 	}
 	if err != nil {
 		return
+	}
+	if !wire.IsBinaryBody(respData) {
+		t.Fatalf("a non-binary response decoded: %+v", resp)
 	}
 	if len(resp.Objects) != len(refs) {
 		t.Fatalf("decoded %d objects for %d refs", len(resp.Objects), len(refs))
@@ -404,7 +387,8 @@ func leadingUvarint(payload []byte) (n uint64, size int, ok bool) {
 	return n, size, size > 0
 }
 
-// binKVSSession is newKVSSession with binary bodies negotiated on.
+// binKVSSession is newKVSSession with every link through the wire
+// codec, so binary bodies cross real frames.
 func binKVSSession(t testing.TB, size, arity int) *session.Session {
 	t.Helper()
 	s, err := session.New(session.Options{
@@ -421,7 +405,7 @@ func binKVSSession(t testing.TB, size, arity int) *session.Session {
 }
 
 // TestBinaryBodiesEndToEnd runs the put/commit/get/load cycle across a
-// codec-linked tree with every broker speaking binary bodies.
+// codec-linked tree.
 func TestBinaryBodiesEndToEnd(t *testing.T) {
 	s := binKVSSession(t, 7, 2)
 	w := client(t, s, 6) // leaf: puts and loads traverse two slave levels
@@ -445,305 +429,16 @@ func TestBinaryBodiesEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBinaryBodiesCrossVersionLinks mixes encodings on one tree: some
-// brokers emit binary bodies, others plain JSON. Decoders sniff, and
-// responses follow the request's encoding, so every pairing on a parent
-// <-> child link — binary->JSON, JSON->binary — must interoperate.
-func TestBinaryBodiesCrossVersionLinks(t *testing.T) {
-	s := binKVSSession(t, 3, 2)
-	// Rank 1 reverts to JSON: its requests to the binary root arrive as
-	// JSON (sniff-miss), and the root's responses to it come back JSON
-	// (response follows request). Rank 2 stays binary against the same
-	// root, exercising the opposite pairing concurrently.
-	s.Broker(1).SetBinaryBodies(false)
-
-	wj := client(t, s, 1) // JSON writer under binary master
-	if err := wj.Put("cross.j", 11); err != nil {
-		t.Fatal(err)
-	}
-	verJ, err := wj.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb := client(t, s, 2) // binary writer under binary master
-	if err := wb.Put("cross.b", 22); err != nil {
-		t.Fatal(err)
-	}
-	verB, err := wb.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Cross-reads: the JSON rank faults in the binary rank's object and
-	// vice versa (kvs.load over both encodings).
-	ver := verJ
-	if verB > ver {
-		ver = verB
-	}
-	var got int
-	if err := wj.WaitVersion(ver); err != nil {
-		t.Fatal(err)
-	}
-	if err := wj.Get("cross.b", &got); err != nil {
-		t.Fatal(err)
-	}
-	if got != 22 {
-		t.Fatalf("cross.b at JSON rank = %d, want 22", got)
-	}
-	if err := wb.WaitVersion(ver); err != nil {
-		t.Fatal(err)
-	}
-	if err := wb.Get("cross.j", &got); err != nil {
-		t.Fatal(err)
-	}
-	if got != 11 {
-		t.Fatalf("cross.j at binary rank = %d, want 11", got)
-	}
-
-	t.Run("get", crossVersionGet)
-	t.Run("fence", crossVersionFence)
-}
-
-// dialExternal attaches a JSON-only external caller to rank's broker:
-// internal/client over a real socket, speaking what cmd/flux speaks.
-func dialExternal(t *testing.T, s *session.Session, rank int) *extclient.Client {
-	t.Helper()
-	key := []byte("cross-version")
-	ln, err := transport.Listen("127.0.0.1:0", key, fmt.Sprintf("rank:%d", rank))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err == nil {
-			s.Broker(rank).AttachConn(broker.LinkClient, conn)
-		}
-		accepted <- err
-	}()
-	ext, err := extclient.Dial(ln.Addr().String(), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ext.Close() })
-	if err := <-accepted; err != nil {
-		t.Fatal(err)
-	}
-	return ext
-}
-
-// crossVersionGet covers the kvs.get pair on mixed links: a binary leaf
-// faulting through a JSON-only interior rank to a binary root, the
-// JSON-only rank's own reads, and an external JSON-only caller
-// (internal/client over a real socket, speaking what cmd/flux speaks)
-// against a binary-body broker.
-func crossVersionGet(t *testing.T) {
-	s := binKVSSession(t, 7, 2)
-	s.Broker(1).SetBinaryBodies(false) // interior: parent of ranks 3 and 4
-
-	w := client(t, s, 0)
-	if err := w.Put("x.val", "deep"); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Put("x.dir.a", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Put("x.dir.b", 2); err != nil {
-		t.Fatal(err)
-	}
-	ver, err := w.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRef, err := w.GetRef("x.dir")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, rank := range []int{3, 1} { // binary leaf under the JSON rank, then the JSON rank
-		c := client(t, s, rank)
-		if err := c.WaitVersion(ver); err != nil {
-			t.Fatal(err)
-		}
-		var v string
-		if err := c.Get("x.val", &v); err != nil || v != "deep" {
-			t.Fatalf("rank %d: x.val = %q, %v", rank, v, err)
-		}
-		if dir, err := c.GetDir("x.dir"); err != nil || len(dir) != 2 || dir[0] != "a" || dir[1] != "b" {
-			t.Fatalf("rank %d: x.dir = %v, %v", rank, dir, err)
-		}
-		if ref, err := c.GetRef("x.dir"); err != nil || ref != wantRef {
-			t.Fatalf("rank %d: x.dir ref = %s, %v; want %s", rank, ref, err, wantRef)
-		}
-		if err := c.Get("x.val.under", nil); !ErrNotDir(err) {
-			t.Fatalf("rank %d: read through a value: %v, want ENOTDIR", rank, err)
-		}
-		if err := c.Get("x.none", nil); !ErrNotFound(err) {
-			t.Fatalf("rank %d: read of a missing key: %v, want ENOENT", rank, err)
-		}
-	}
-
-	// The external caller: JSON request in, JSON response out, from a
-	// broker (rank 4, binary) whose own traffic is binary.
-	ext := dialExternal(t, s, 4)
-	if _, err := ext.RPC("kvs.sync", wire.NodeidAny, map[string]uint64{"version": ver}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ext.RPC("kvs.get", wire.NodeidAny, map[string]string{"key": "x.val"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body struct {
-		Ref string          `json:"ref"`
-		Val json.RawMessage `json:"val"`
-		Dir []string        `json:"dir"`
-	}
-	if wire.IsBinaryBody(resp.Payload) {
-		t.Fatal("JSON kvs.get was answered with a binary body")
-	}
-	if err := resp.UnpackJSON(&body); err != nil || string(body.Val) != `"deep"` || len(body.Ref) != 2*cas.RefLen {
-		t.Fatalf("external get x.val = %+v, %v", body, err)
-	}
-	resp, err = ext.RPC("kvs.get", wire.NodeidAny, map[string]string{"key": "x.dir"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	body.Val = nil
-	if err := resp.UnpackJSON(&body); err != nil || body.Ref != wantRef || len(body.Dir) != 2 || body.Val != nil {
-		t.Fatalf("external get x.dir = %+v, %v", body, err)
-	}
-	if _, err := ext.RPC("kvs.get", wire.NodeidAny, map[string]string{"key": "x.none"}); !ErrNotFound(err) {
-		t.Fatalf("external get of a missing key: %v, want ENOENT", err)
-	}
-}
-
-// crossVersionFence covers kvs.fence on mixed links: one fence whose
-// participants are binary leaves under a JSON-only interior rank and a
-// binary rank beside it, so batches reach the JSON rank binary, leave it
-// JSON, and meet a binary batch at the root. Then an external JSON
-// caller fences and commits against a binary broker, the way cmd/flux
-// does, and must get JSON back.
-func crossVersionFence(t *testing.T) {
-	s := binKVSSession(t, 7, 2)
-	s.Broker(1).SetBinaryBodies(false) // interior: parent of ranks 3 and 4
-	for _, r := range []int{0, 2, 3, 4} {
-		if !s.Broker(r).BinaryBodies() {
-			t.Fatalf("rank %d is not on binary bodies", r)
-		}
-	}
-
-	w := client(t, s, 0)
-	if err := w.Put("xf.gone", "soon"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	ranks := []int{3, 4, 2} // two binary leaves under the JSON rank, one binary sibling
-	shared := strings.Repeat("s", 4096)
-	vers := make([]uint64, len(ranks))
-	errs := make([]error, len(ranks))
-	var wg sync.WaitGroup
-	for i, rank := range ranks {
-		c := client(t, s, rank)
-		if err := c.Put(fmt.Sprintf("xf.p%d", i), strings.Repeat(string(rune('a'+i)), 4096)); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Put("xf.shared", shared); err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			if err := c.Delete("xf.gone"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			vers[i], errs[i] = c.Fence("xfence", len(ranks))
-		}(i)
-	}
-	wg.Wait()
-	for i := range ranks {
-		if errs[i] != nil || vers[i] != vers[0] {
-			t.Fatalf("participant at rank %d: v%d, %v (rank %d got v%d)", ranks[i], vers[i], errs[i], ranks[0], vers[0])
-		}
-	}
-	for _, rank := range []int{1, 6} { // the JSON rank, and a binary leaf no participant sits under
-		c := client(t, s, rank)
-		if err := c.WaitVersion(vers[0]); err != nil {
-			t.Fatal(err)
-		}
-		for i := range ranks {
-			var v string
-			if err := c.Get(fmt.Sprintf("xf.p%d", i), &v); err != nil || v != strings.Repeat(string(rune('a'+i)), 4096) {
-				t.Fatalf("rank %d: xf.p%d = %.8q..., %v", rank, i, v, err)
-			}
-		}
-		var v string
-		if err := c.Get("xf.shared", &v); err != nil || v != shared {
-			t.Fatalf("rank %d: xf.shared = %.8q..., %v", rank, v, err)
-		}
-		if err := c.Get("xf.gone", nil); !ErrNotFound(err) {
-			t.Fatalf("rank %d: deleted xf.gone: %v, want ENOENT", rank, err)
-		}
-	}
-
-	ext := dialExternal(t, s, 4)
-	ver := vers[0]
-	for _, method := range []string{"fence", "commit"} {
-		key := "xf.ext." + method
-		data := cas.NewValue([]byte(`"` + method + `"`)).Encode()
-		ref := cas.HashOf(data).String()
-		if _, err := ext.RPC("kvs.put", wire.NodeidAny, map[string]any{"key": key, "ref": ref, "data": data}); err != nil {
-			t.Fatal(err)
-		}
-		name := "xf-ext-" + method
-		resp, err := ext.RPC("kvs."+method, wire.NodeidAny, map[string]any{
-			"name":   name,
-			"nprocs": 1,
-			"entries": []map[string]any{{
-				"id":  name + "/cli",
-				"ops": []map[string]any{{"key": key, "ref": ref}},
-			}},
-		})
-		if err != nil {
-			t.Fatalf("external kvs.%s: %v", method, err)
-		}
-		if wire.IsBinaryBody(resp.Payload) {
-			t.Fatalf("JSON kvs.%s was answered with a binary body", method)
-		}
-		var root rootBody
-		if err := resp.UnpackJSON(&root); err != nil || root.Version != ver+1 {
-			t.Fatalf("external kvs.%s = %+v, %v; want version %d", method, root, err, ver+1)
-		}
-		ver = root.Version
-		c := client(t, s, 5)
-		if err := c.WaitVersion(ver); err != nil {
-			t.Fatal(err)
-		}
-		var v string
-		if err := c.Get(key, &v); err != nil || v != method {
-			t.Fatalf("%s = %q, %v; want %q", key, v, err, method)
-		}
-	}
-}
-
 // TestLoadBatchesThroughJSONInteriorRank faults a directory wider than
-// one load batch through a JSON-only interior rank (rank 1, between the
-// binary root and binary leaves 3 and 4), first with one reader per
-// rank in turn and then with concurrent readers of overlapping keys at
-// every rank. Every read must return the committed bytes, and the
-// fault-in counters must match an all-binary session's: the encoding of
-// a link changes no load and no batch.
+// one load batch through interior rank 1 (between the root and leaves 3
+// and 4), first with one reader per rank in turn and then with
+// concurrent readers of overlapping keys at every rank. Every read must
+// return the committed bytes, and every rank must fault in each object
+// exactly once.
 func TestLoadBatchesThroughJSONInteriorRank(t *testing.T) {
 	const entries = maxLoadBatch + 36
-	run := func(t *testing.T, jsonInterior bool) (seqLoads, seqBatches, loads uint64) {
+	t.Run("binary", func(t *testing.T) {
 		s := binKVSSession(t, 7, 2)
-		if jsonInterior {
-			s.Broker(1).SetBinaryBodies(false)
-		}
 		w := client(t, s, 0)
 		commit := func(dir string) (uint64, []string) {
 			vals := make([]string, entries)
@@ -771,14 +466,6 @@ func TestLoadBatchesThroughJSONInteriorRank(t *testing.T) {
 			}
 			return nil
 		}
-		totals := func() (loads, batches uint64) {
-			for r := 1; r < 7; r++ {
-				_, l, b := kvsStats(t, s, r)
-				loads, batches = loads+l, batches+b
-			}
-			return loads, batches
-		}
-
 		ver, vals := commit("seq")
 		for r := 1; r < 7; r++ {
 			c := client(t, s, r)
@@ -789,7 +476,6 @@ func TestLoadBatchesThroughJSONInteriorRank(t *testing.T) {
 				t.Fatalf("rank %d: %v", r, err)
 			}
 		}
-		seqLoads, seqBatches = totals()
 
 		ver, vals = commit("par")
 		ranges := [][2]int{{0, entries * 2 / 3}, {entries / 3, entries}, {entries / 4, entries * 3 / 4}}
@@ -816,35 +502,23 @@ func TestLoadBatchesThroughJSONInteriorRank(t *testing.T) {
 		for err := range errs {
 			t.Fatal(err)
 		}
-		loads, _ = totals()
-		return seqLoads, seqBatches, loads
-	}
-
-	var want [3]uint64
-	t.Run("binary", func(t *testing.T) {
-		want[0], want[1], want[2] = run(t, false)
-	})
-	t.Run("json-interior", func(t *testing.T) {
-		loads, batches, all := run(t, true)
-		if loads != want[0] || batches != want[1] {
-			t.Fatalf("sequential reads: %d loads in %d batches; the all-binary session took %d in %d", loads, batches, want[0], want[1])
+		// Every rank below the root faults in each object exactly once:
+		// per commit, the new root directory, the committed directory and
+		// its values.
+		var loads uint64
+		for r := 1; r < 7; r++ {
+			_, l, _ := kvsStats(t, s, r)
+			loads += l
 		}
-		if all != want[2] {
-			t.Fatalf("after concurrent reads: %d loads; the all-binary session took %d", all, want[2])
+		if perRank := uint64(2 * (2 + entries)); loads != 6*perRank {
+			t.Fatalf("session faulted in %d objects, want %d (6 ranks x %d)", loads, 6*perRank, perRank)
 		}
 	})
-	// Every rank below the root faults in each object exactly once: per
-	// commit, the new root directory, the committed directory and its
-	// values.
-	if perRank := uint64(2 * (2 + entries)); want[2] != 6*perRank {
-		t.Fatalf("all-binary session faulted in %d objects, want %d (6 ranks x %d)", want[2], 6*perRank, perRank)
-	}
 }
 
 // TestSetrootBody: the binary kvs.setroot body round-trips the empty
-// and a real root, the JSON form decodes to the same values, and a
-// reference field that is neither empty nor 20 bytes, or a truncated
-// body, is an error.
+// and a real root, and a reference field that is neither empty nor 20
+// bytes, a truncated body, or a JSON body is an error.
 func TestSetrootBody(t *testing.T) {
 	ref := cas.HashOf([]byte("root"))
 	for _, tc := range []struct {
@@ -858,37 +532,31 @@ func TestSetrootBody(t *testing.T) {
 		if len(bin.Payload) > 1+1+cas.RefLen+binary.MaxVarintLen64 {
 			t.Fatalf("setrootBin is %d bytes", len(bin.Payload))
 		}
-		js, err := wire.NewResponse(&wire.Message{Type: wire.Request, Topic: "kvs.setroot"},
-			rootBody{Root: refString(tc.root), Version: tc.version})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range []*wire.Message{bin, js} {
-			root, version, err := decodeSetroot(m)
-			if err != nil || root != tc.root || version != tc.version {
-				t.Fatalf("decodeSetroot(%q) = %s, %d, %v; want %s, %d", m.Payload, root, version, err, tc.root, tc.version)
-			}
+		root, version, err := decodeSetroot(bin)
+		if err != nil || root != tc.root || version != tc.version {
+			t.Fatalf("decodeSetroot(%q) = %s, %d, %v; want %s, %d", bin.Payload, root, version, err, tc.root, tc.version)
 		}
 	}
 	w := wire.NewBinWriter(16)
 	w.Bytes([]byte("short"))
 	w.Uint(3)
-	for _, bad := range [][]byte{w.Finish(), setrootBin(ref, 9)[:10], []byte(`{"root":"zz","version":1}`)} {
+	for _, bad := range [][]byte{w.Finish(), setrootBin(ref, 9)[:10], []byte(`{"root":"` + ref.String() + `","version":1}`)} {
 		if _, _, err := decodeSetroot(&wire.Message{Payload: bad}); err == nil {
 			t.Fatalf("decodeSetroot(%q) accepted a malformed body", bad)
 		}
 	}
 }
 
-// TestSetrootMixedEncodings: a binary master's setroot is decoded by a
-// JSON-only slave, and a JSON-only master's by binary slaves, both by
-// the module (kvs.sync parks until the setroot lands: no heartbeat
-// runs, so no root poll can stand in) and by Client.Watch.
+// TestSetrootMixedEncodings: the master's binary setroots and a JSON
+// setroot an external caller at rank jsonRank publishes through cmb.pub
+// meet on one topic. Only the master's are acted on, both by the module
+// (kvs.sync parks until the setroot lands: no heartbeat runs, so no root
+// poll can stand in) and by Client.Watch.
 func TestSetrootMixedEncodings(t *testing.T) {
 	for _, jsonRank := range []int{0, 3} {
 		t.Run(fmt.Sprintf("json-rank-%d", jsonRank), func(t *testing.T) {
 			s := newKVSSession(t, 4, 2)
-			s.Broker(jsonRank).SetBinaryBodies(false)
+			ext := dialExternal(t, s, jsonRank)
 			wc := client(t, s, 3)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -906,6 +574,17 @@ func TestSetrootMixedEncodings(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if ver != uint64(v) {
+					t.Fatalf("commit %d produced version %d", v, ver)
+				}
+				root, _, err := w.RootRef()
+				if err != nil {
+					t.Fatal(err)
+				}
+				forged := map[string]any{"root": root, "version": ver + 100}
+				if _, err := ext.RPC(wire.TopicPub, wire.NodeidAny, map[string]any{"topic": "kvs.setroot", "payload": forged}); err != nil {
+					t.Fatal(err)
+				}
 				for r := 0; r < 4; r++ {
 					if err := client(t, s, r).WaitVersion(ver); err != nil {
 						t.Fatalf("rank %d: wait for version %d: %v", r, ver, err)
@@ -921,5 +600,70 @@ func TestSetrootMixedEncodings(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBrokerOnlyBodiesRejectJSON sends, from an external JSON caller,
+// the two requests only brokers send (kvs.load, barrier.enter), each of
+// which must be answered EINVAL, and publishes a JSON kvs.setroot naming
+// a real object at a version 100 ahead, which no rank may adopt.
+func TestBrokerOnlyBodiesRejectJSON(t *testing.T) {
+	s, err := session.New(session.Options{
+		Size:    4,
+		Arity:   2,
+		Modules: []session.ModuleFactory{Factory(ModuleConfig{}), barrier.Factory},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	w := client(t, s, 1)
+	if err := w.Put("edge.key", "v"); err != nil {
+		t.Fatal(err)
+	}
+	ver, err := w.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _, err := w.RootRef()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := dialExternal(t, s, 3)
+	if _, err := ext.RPC("kvs.load", wire.NodeidAny, map[string][]string{"refs": {root}}); !wire.IsErrnum(err, wire.ErrnoInval) {
+		t.Fatalf("JSON kvs.load: %v, want EINVAL", err)
+	}
+	if _, err := ext.RPC("barrier.enter", wire.NodeidAny, map[string]any{"name": "edge", "nprocs": 1}); !wire.IsErrnum(err, wire.ErrnoInval) {
+		t.Fatalf("JSON barrier.enter: %v, want EINVAL", err)
+	}
+
+	// Each rank's handle sees the forged event before it asks its module
+	// for the version: a module receives an event before any request a
+	// local handle sends after seeing it.
+	clients := make([]*Client, 4)
+	subs := make([]*broker.Subscription, 4)
+	for r := range clients {
+		clients[r] = client(t, s, r)
+		if err := clients[r].WaitVersion(ver); err != nil {
+			t.Fatal(err)
+		}
+		if subs[r], err = clients[r].Handle().Subscribe("kvs.setroot"); err != nil {
+			t.Fatal(err)
+		}
+		defer subs[r].Close()
+	}
+	forged := map[string]any{"root": root, "version": ver + 100}
+	if _, err := ext.RPC(wire.TopicPub, wire.NodeidAny, map[string]any{"topic": "kvs.setroot", "payload": forged}); err != nil {
+		t.Fatal(err)
+	}
+	for r, c := range clients {
+		select {
+		case <-subs[r].Chan():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("rank %d never saw the forged setroot", r)
+		}
+		if got, err := c.GetVersion(); err != nil || got != ver {
+			t.Fatalf("rank %d: version %d, %v after a forged setroot; want %d", r, got, err, ver)
+		}
 	}
 }

@@ -89,13 +89,7 @@ func (c *Client) PutRaw(key string, raw json.RawMessage) error {
 	encoded := cas.NewValue(raw).Encode()
 	ref := cas.HashOf(encoded)
 	body := putBody{Key: key, Ref: ref.String(), Data: encoded}
-	var req any = body
-	if c.h.BinaryBodies() {
-		// Binary codec v3: the hot put path skips JSON's base64 encode of
-		// the value object when the session negotiated binary bodies.
-		req = body.bin()
-	}
-	if _, err := c.h.RPC(c.topic("put"), wire.NodeidAny, req); err != nil {
+	if _, err := c.h.RPC(c.topic("put"), wire.NodeidAny, body.bin()); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -166,11 +160,7 @@ func (c *Client) fence(name string, nprocs int, ops []Op) (uint64, error) {
 		NProcs:  nprocs,
 		Entries: []fenceEntry{{ID: name + "/" + c.h.ID(), Ops: ops}},
 	}
-	var req any = body
-	if c.h.BinaryBodies() {
-		req = body.bin()
-	}
-	resp, err := c.h.RPCWithOptions(context.Background(), c.topic("fence"), wire.NodeidAny, req, fenceOpts)
+	resp, err := c.h.RPCWithOptions(context.Background(), c.topic("fence"), wire.NodeidAny, body.bin(), fenceOpts)
 	if err != nil {
 		c.restorePending(ops)
 		return 0, err
@@ -259,13 +249,7 @@ func (c *Client) getAt(rootRef, key string) (getResp, error) {
 		return getResp{}, err
 	}
 	body := getBody{Key: key, Root: rootRef}
-	var req any
-	if c.h.BinaryBodies() {
-		req = body.bin()
-	} else {
-		req = body
-	}
-	resp, err := c.h.RPCWithOptions(context.Background(), c.topic("get"), wire.NodeidAny, req, readOpts)
+	resp, err := c.h.RPCWithOptions(context.Background(), c.topic("get"), wire.NodeidAny, body.bin(), readOpts)
 	if err != nil {
 		return getResp{}, err
 	}

@@ -61,9 +61,9 @@ type getBody struct {
 }
 
 // getResp answers a kvs.get: the terminal object's reference and either
-// a value's JSON bytes or a directory's sorted entry names. It is the
-// in-memory form on both sides; getRespJSON and bin are its two wire
-// forms.
+// a value's JSON bytes or a directory's sorted entry names. A broker's
+// request is answered with bin, the one form decodeGetResp reads; an
+// external tool's JSON request is answered with getRespJSON.
 type getResp struct {
 	Ref cas.Ref
 	Val []byte // nil for a directory
@@ -76,34 +76,20 @@ type getRespJSON struct {
 	Dir []string        `json:"dir,omitempty"`
 }
 
-// loadBody requests object fault-ins: the in-memory form both wire
-// encodings decode to. The batched form lets one RPC carry every miss a
-// directory walk discovers, so a deep read costs one upstream round-trip
-// per level instead of one per object. Single marks a JSON request in
-// the single-ref form (loadBodyJSON.Ref), kept so old clients and tests
-// interoperate; it is answered with the object or ENOENT.
+// loadBody requests object fault-ins from the parent module. Only
+// brokers send kvs.load, so it has the binary form alone (bin). The
+// batch lets one RPC carry every miss a directory walk discovers, so a
+// deep read costs one upstream round-trip per level instead of one per
+// object.
 type loadBody struct {
-	Refs   []cas.Ref
-	Single bool
-}
-
-type loadBodyJSON struct {
-	Ref  string   `json:"ref,omitempty"`
-	Refs []string `json:"refs,omitempty"`
+	Refs []cas.Ref
 }
 
 // loadResp answers a loadBody: Objects[i] is the encoded object for the
 // request's Refs[i], nil when the responder could not produce it; the
-// requester decides which absences are fatal. The JSON form
-// (loadRespJSON) carries Data for the single-ref request and otherwise
-// the present objects keyed by hex reference.
+// requester decides which absences are fatal.
 type loadResp struct {
 	Objects [][]byte
-}
-
-type loadRespJSON struct {
-	Data    []byte            `json:"data,omitempty"`
-	Objects map[string][]byte `json:"objects,omitempty"`
 }
 
 type syncBody struct {
@@ -619,11 +605,7 @@ func (m *Module) maybeCompleteFence(name string, st *fenceState) {
 	m.root = newRoot
 	m.version++
 	resp := rootBody{Root: refString(m.root), Version: m.version}
-	var setroot any = resp
-	if m.h.BinaryBodies() {
-		setroot = setrootBin(m.root, m.version)
-	}
-	if _, err := m.h.PublishEvent(m.setrootTopic(), setroot); err != nil && !broker.ErrShutdown(err) {
+	if _, err := m.h.PublishEvent(m.setrootTopic(), setrootBin(m.root, m.version)); err != nil && !broker.ErrShutdown(err) {
 		// The root update is already applied locally; slaves will learn
 		// of it from the next successful publication or a root poll.
 		_ = err
@@ -765,11 +747,7 @@ type fenceDoneBody struct {
 // upstream makes retransmission safe, and a retry issued after
 // re-parenting travels the adoptive parent path.
 func (m *Module) sendFenceBatch(batch fenceBody) {
-	var req any = batch
-	if m.h.BinaryBodies() {
-		req = batch.bin()
-	}
-	resp, err := m.h.RPCWithOptions(context.Background(), m.cfg.Service+".fence", m.upstreamTarget(), req,
+	resp, err := m.h.RPCWithOptions(context.Background(), m.cfg.Service+".fence", m.upstreamTarget(), batch.bin(),
 		broker.RPCOptions{Retries: 6, Backoff: 25 * time.Millisecond})
 	done := fenceDoneBody{Name: batch.Name}
 	if err != nil {
@@ -1067,13 +1045,7 @@ func (m *Module) fetchBatch(refs []cas.Ref) map[cas.Ref]error {
 		m.obsBatches.Inc()
 		// Loads are idempotent (content-addressed), so transient route
 		// failures are retried rather than surfaced to the reader.
-		var req any
-		if m.h.BinaryBodies() {
-			req = loadBody{Refs: chunk}.bin()
-		} else {
-			req = loadBody{Refs: chunk}.jsonForm()
-		}
-		resp, err := m.h.RPCWithOptions(m.ctx, m.cfg.Service+".load", m.upstreamTarget(), req,
+		resp, err := m.h.RPCWithOptions(m.ctx, m.cfg.Service+".load", m.upstreamTarget(), loadBody{Refs: chunk}.bin(),
 			broker.RPCOptions{Retries: 4, Backoff: 25 * time.Millisecond})
 		var body loadResp
 		if err == nil {
@@ -1116,9 +1088,8 @@ func failRef(errs map[cas.Ref]error, ref cas.Ref, err error) map[cas.Ref]error {
 // recvLoad serves a child's fault-in request from the local cache,
 // faulting misses in from our own parent if necessary. The work happens
 // on a worker goroutine: an intermediate slave blocked on its own parent
-// must not stall its Recv loop. A batched request is answered with every
-// object this instance ended up holding; the single-ref form keeps its
-// original data-or-ENOENT contract.
+// must not stall its Recv loop. A request is answered with every object
+// this instance ended up holding.
 func (m *Module) recvLoad(msg *wire.Message) {
 	body, err := decodeLoadBody(msg)
 	if err != nil {
@@ -1136,7 +1107,7 @@ func (m *Module) recvLoad(msg *wire.Message) {
 	if cached {
 		start := time.Now()
 		if objs, ok := m.heldObjects(body.Refs); ok {
-			m.respondLoad(msg, body, objs, nil)
+			m.respondLoad(msg, objs, nil)
 			m.histLoad.Observe(time.Since(start))
 			return
 		}
@@ -1147,7 +1118,7 @@ func (m *Module) recvLoad(msg *wire.Message) {
 		defer func() { m.histLoad.Observe(time.Since(start)) }()
 		err := m.loadObjects(body.Refs)
 		objs, _ := m.heldObjects(body.Refs)
-		m.respondLoad(msg, body, objs, err)
+		m.respondLoad(msg, objs, err)
 	})
 }
 
@@ -1165,14 +1136,11 @@ func (m *Module) heldObjects(refs []cas.Ref) (objs [][]byte, all bool) {
 	return objs, all
 }
 
-// respondLoad answers a kvs.load with objs (the requested objects in
-// request order, nil where absent) in the encoding its request used:
-// binary-coded bodies for binary requests, JSON for everything else, so
-// a JSON-only child of a binary-enabled parent still gets JSON back. A
-// request none of whose objects could be produced is answered ENOENT
-// with err, the fault-in error, when there is one; so is a single-ref
-// request whose object is absent.
-func (m *Module) respondLoad(msg *wire.Message, req loadBody, objs [][]byte, err error) {
+// respondLoad answers a kvs.load with objs, the requested objects in
+// request order, nil where absent. A request none of whose objects could
+// be produced is answered ENOENT with err, the fault-in error, when
+// there is one.
+func (m *Module) respondLoad(msg *wire.Message, objs [][]byte, err error) {
 	found := false
 	for _, o := range objs {
 		if o != nil {
@@ -1180,23 +1148,15 @@ func (m *Module) respondLoad(msg *wire.Message, req loadBody, objs [][]byte, err
 			break
 		}
 	}
-	if !found && (err != nil || req.Single) {
-		if err == nil {
-			err = fmt.Errorf("kvs: object %s not found", req.Refs[0].Short())
-		}
+	if !found && err != nil {
 		m.h.RespondError(msg, broker.ErrnoNoEnt, err.Error())
 		return
 	}
-	resp := loadResp{Objects: objs}
-	if wire.IsBinaryBody(msg.Payload) {
-		m.h.Respond(msg, resp.bin())
-		return
-	}
-	m.h.Respond(msg, resp.jsonForm(req))
+	m.h.Respond(msg, loadResp{Objects: objs}.bin())
 }
 
-// respondGet answers a kvs.get in the encoding its request used, like
-// respondLoad.
+// respondGet answers a kvs.get in the encoding its request used: binary
+// for a broker's request, JSON for an external tool's.
 func (m *Module) respondGet(msg *wire.Message, resp getResp) {
 	if wire.IsBinaryBody(msg.Payload) {
 		m.h.Respond(msg, resp.bin())

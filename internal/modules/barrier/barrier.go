@@ -9,6 +9,7 @@
 package barrier
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -18,14 +19,14 @@ import (
 )
 
 type enterBody struct {
-	Name   string `json:"name"`
-	NProcs int    `json:"nprocs"`
-	Count  int    `json:"count"` // participants aggregated in this message
+	Name   string
+	NProcs int
+	Count  int // participants aggregated in this message
 }
 
-// bin is the binary-coded (codec v3) form of enterBody, used when the
-// session negotiated binary bodies; decodeEnterBody sniffs and accepts
-// either encoding, so mixed sessions interoperate.
+// bin is the binary-coded (codec v3) form of enterBody, the only form
+// it is sent in: participants and aggregating slaves are all broker
+// handles, so nothing outside the broker sends barrier.enter.
 func (b enterBody) bin() wire.RawBody {
 	w := wire.NewBinWriter(len(b.Name) + 12)
 	w.String(b.Name)
@@ -34,24 +35,17 @@ func (b enterBody) bin() wire.RawBody {
 	return w.Finish()
 }
 
+// decodeEnterBody reads a binary barrier.enter body; any other body is
+// an error.
 func decodeEnterBody(m *wire.Message) (body enterBody, err error) {
-	if r, ok := wire.NewBinReader(m.Payload); ok {
-		body.Name = r.String()
-		body.NProcs = int(r.Uint())
-		body.Count = int(r.Uint())
-		return body, r.Err()
+	r, ok := wire.NewBinReader(m.Payload)
+	if !ok {
+		return body, errors.New("barrier: enter body is not binary-coded")
 	}
-	err = m.UnpackJSON(&body)
-	return body, err
-}
-
-// enterReq wraps body for sending, binary-coded when the handle's broker
-// negotiated binary bodies.
-func enterReq(h *broker.Handle, body enterBody) any {
-	if h.BinaryBodies() {
-		return body.bin()
-	}
-	return body
+	body.Name = r.String()
+	body.NProcs = int(r.Uint())
+	body.Count = int(r.Uint())
+	return body, r.Err()
 }
 
 type doneBody struct {
@@ -196,7 +190,7 @@ func (m *Module) Idle() {
 
 // sendBatch forwards one aggregate and re-injects completion locally.
 func (m *Module) sendBatch(batch enterBody) {
-	_, err := m.h.RPC("barrier.enter", wire.NodeidUpstream, enterReq(m.h, batch))
+	_, err := m.h.RPC("barrier.enter", wire.NodeidUpstream, batch.bin())
 	done := doneBody{Name: batch.Name}
 	if err != nil {
 		done.Error = err.Error()
@@ -240,6 +234,6 @@ func (m *Module) recvStats(msg *wire.Message) {
 // the barrier with the same name. Names must be unique per collective
 // operation.
 func Enter(h *broker.Handle, name string, nprocs int) error {
-	_, err := h.RPC("barrier.enter", wire.NodeidAny, enterReq(h, enterBody{Name: name, NProcs: nprocs}))
+	_, err := h.RPC("barrier.enter", wire.NodeidAny, enterBody{Name: name, NProcs: nprocs}.bin())
 	return err
 }

@@ -153,8 +153,7 @@ func TestBarrierNprocsMismatch(t *testing.T) {
 
 // TestBarrierBinaryBodies runs the all-ranks barrier over codec links
 // with binary-coded (codec v3) enter bodies, including the slave
-// aggregates retransmitted upstream, and with one rank downgraded to
-// JSON so both encodings meet at the same aggregation point.
+// aggregates retransmitted upstream.
 func TestBarrierBinaryBodies(t *testing.T) {
 	const size = 7
 	s, err := session.New(session.Options{
@@ -166,7 +165,6 @@ func TestBarrierBinaryBodies(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	s.Broker(3).SetBinaryBodies(false) // interior rank aggregates in JSON
 
 	var wg sync.WaitGroup
 	errs := make([]error, size)

@@ -19,12 +19,11 @@ import (
 // A binary body is the BinMagic byte followed by positional
 // uvarint-length-prefixed fields; the schema is implicit in the
 // reader/writer call sequence, exactly like the frame codec itself.
-// Because JSON bodies always start with an ASCII byte ('{', '[', '"',
-// a digit, ...), decoders sniff the first byte and accept either
-// encoding unconditionally — which body to *emit* is the encoder's
-// choice (binary unless the cmb.join handshake found a JSON-only parent;
-// see broker.Broker.BinaryBodies), and a JSON-only peer never needs to
-// know the binary form exists.
+// Brokers send the hot bodies in this form only. Because JSON bodies
+// always start with an ASCII byte ('{', '[', '"', a digit, ...), the
+// decoder of a topic an external tool also sends (kvs.get, cmb.pub, ...)
+// sniffs the first byte to accept that tool's JSON; a topic only brokers
+// send rejects anything but a binary body.
 const BinMagic = 0xB3
 
 // IsBinaryBody reports whether payload carries a binary-coded body.
