@@ -151,10 +151,10 @@ func TestBarrierNprocsMismatch(t *testing.T) {
 	}
 }
 
-// TestBarrierBinaryBodies runs the all-ranks barrier over codec links
+// TestBarrierOverCodecLinks runs the all-ranks barrier over codec links
 // with binary-coded (codec v3) enter bodies, including the slave
 // aggregates retransmitted upstream.
-func TestBarrierBinaryBodies(t *testing.T) {
+func TestBarrierOverCodecLinks(t *testing.T) {
 	const size = 7
 	s, err := session.New(session.Options{
 		Size:    size,
