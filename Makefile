@@ -17,7 +17,7 @@ GO ?= go
 # Hot-path packages covered by `make bench` / the CI bench job.
 BENCH_PKGS = ./internal/wire/ ./internal/broker/ ./internal/kvs/ ./internal/cas/ ./internal/obs/ ./cmd/fluxlint/
 
-.PHONY: build test check chaos recovery vet lint debuglock fuzz bench benchdiff leftovers
+.PHONY: build test check chaos recovery vet lint debuglock fuzz bench benchdiff leftovers reduce-stress
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,12 @@ check: vet lint
 leftovers:
 	@left=$$(ps -eo pid,etime,cmd | grep -E 'flux-bench|\.test|go-build|go run' | grep -v grep); \
 	if [ -n "$$left" ]; then echo "processes left running:"; echo "$$left"; exit 1; fi
+
+# Reduction-path stress: the fence tests and the reparent-under-load
+# test, 50 runs each under the race detector. Tree-reduction bugs show
+# up as rare interleavings, so one run proves little.
+reduce-stress:
+	$(GO) test -race -count=50 -run 'TestFence|TestReparentUnderLoadWithEpochChecks' ./internal/kvs/ ./internal/session/
 
 # Race suite with the runtime lock-order checker compiled in.
 debuglock:

@@ -1457,6 +1457,7 @@ func (b *Broker) handleControl(in inbound) {
 				in.from.subs = append(in.from.subs, body.Prefix)
 				b.invalidateRecipients()
 				b.mu.Unlock()
+				b.ackControl(in)
 			}
 		}
 	case wire.TopicUnsub:
@@ -1475,12 +1476,29 @@ func (b *Broker) handleControl(in inbound) {
 				in.from.subs = subs
 				b.invalidateRecipients()
 				b.mu.Unlock()
+				b.ackControl(in)
 			}
 		}
 	default:
 		b.ctr.dropsUnknownControl.Inc()
 		b.log.Warnf(wire.ServiceCMB, "unknown control %q dropped", in.msg.Topic)
 	}
+}
+
+// ackControl answers a client's cmb.sub or cmb.unsub once it is in
+// effect, if the client asked for an answer by giving it a match tag.
+// The acknowledgement lets the client order later requests after the
+// subscription, which it cannot otherwise do: control messages are
+// handled on shard 0, a link's requests on their flows' shards.
+func (b *Broker) ackControl(in inbound) {
+	if in.msg.Seq == 0 {
+		return
+	}
+	resp, err := wire.NewResponse(in.msg, nil)
+	if err != nil {
+		return
+	}
+	b.send(in.from, resp)
 }
 
 // Shutdown stops the broker: modules are shut down, links closed, and

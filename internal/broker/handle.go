@@ -223,30 +223,41 @@ func (h *Handle) RPCWithOptions(ctx context.Context, topic string, nodeid uint32
 	if timeout == 0 {
 		timeout = h.b.cfg.RPCTimeout
 	}
-	backoff := opts.Backoff
-	if backoff <= 0 {
-		backoff = 20 * time.Millisecond
-	}
 	for attempt := 0; ; attempt++ {
 		resp, err := h.rpcOnce(ctx, topic, nodeid, body, timeout)
 		if err == nil || attempt >= opts.Retries || !IsTransient(err) {
 			return resp, err
 		}
-		d := backoff << uint(attempt)
-		if d > maxRetryBackoff {
-			d = maxRetryBackoff
+		if err := h.Backoff(ctx, opts.Backoff, attempt); err != nil {
+			return nil, err
 		}
-		d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1)) // jitter to [d/2, d]
-		t := h.Clock().NewTimer(d)
-		select {
-		case <-t.C():
-		case <-ctx.Done():
-			t.Stop()
-			return nil, ctx.Err()
-		case <-h.closedCh:
-			t.Stop()
-			return nil, errShutdown
-		}
+	}
+}
+
+// Backoff waits out the delay before retry number attempt+1 of a
+// transient failure: base (0 defaults to 20ms) doubled per attempt,
+// capped at 2s, jittered to [d/2, d] so synchronized failures do not
+// retry in lockstep. It returns ctx's error if ctx ends first, or a
+// shutdown error if the handle closes first. Callers that rebuild the
+// request between attempts use it in place of RPCOptions.Retries.
+func (h *Handle) Backoff(ctx context.Context, base time.Duration, attempt int) error {
+	if base <= 0 {
+		base = 20 * time.Millisecond
+	}
+	d := base << uint(attempt)
+	if d > maxRetryBackoff || d <= 0 {
+		d = maxRetryBackoff
+	}
+	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1)) // jitter to [d/2, d]
+	t := h.Clock().NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C():
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-h.closedCh:
+		return errShutdown
 	}
 }
 

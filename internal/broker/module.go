@@ -39,7 +39,11 @@ type Module interface {
 // "data reductions ... aggregating and retransmitting upstream requests
 // between instances of a comms module" from the paper. Batching is a
 // performance heuristic only; correctness must not depend on where batch
-// boundaries fall.
+// boundaries fall. Idle need not flush on every call: a module may hold
+// back while its previous batch is unanswered, so that the parent's
+// answers, not the drains, clock the flushes and contributions that
+// arrive meanwhile share one batch (the kvs fence does this). An answer
+// that re-enters the module's inbox triggers the next Idle.
 type IdleBatcher interface {
 	Idle()
 }

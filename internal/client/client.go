@@ -137,6 +137,17 @@ func (c *Client) RPC(topic string, nodeid uint32, body any) (*wire.Message, erro
 // RPCContext is RPC with cancellation. When ctx carries no deadline,
 // the client's Timeout applies.
 func (c *Client) RPCContext(ctx context.Context, topic string, nodeid uint32, body any) (*wire.Message, error) {
+	m, err := wire.NewRequest(topic, nodeid, body)
+	if err != nil {
+		return nil, err
+	}
+	return c.exchange(ctx, m)
+}
+
+// exchange sends m under a fresh match tag and waits for the response
+// carrying it: an RPC's, or the broker's acknowledgement of a control
+// message.
+func (c *Client) exchange(ctx context.Context, m *wire.Message) (*wire.Message, error) {
 	timeout := c.Timeout
 	if timeout == 0 {
 		timeout = DefaultRPCTimeout
@@ -147,10 +158,6 @@ func (c *Client) RPCContext(ctx context.Context, topic string, nodeid uint32, bo
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 		ownDeadline = true
-	}
-	m, err := wire.NewRequest(topic, nodeid, body)
-	if err != nil {
-		return nil, err
 	}
 	tag := c.nextTag.Add(1)
 	m.Seq = tag
@@ -178,7 +185,7 @@ func (c *Client) RPCContext(ctx context.Context, topic string, nodeid uint32, bo
 	case <-ctx.Done():
 		c.forget(tag)
 		if ownDeadline && errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return nil, &wire.RPCError{Topic: topic, Errnum: errnoTimedOut,
+			return nil, &wire.RPCError{Topic: m.Topic, Errnum: errnoTimedOut,
 				Msg: fmt.Sprintf("rpc deadline (%s) exceeded", timeout)}
 		}
 		return nil, ctx.Err()
@@ -227,7 +234,9 @@ func (s *Subscription) Close() {
 	})
 }
 
-// Subscribe registers interest in events matching prefix.
+// Subscribe registers interest in events matching prefix. It returns
+// once the broker has acknowledged the subscription, so every event
+// sequenced after Subscribe returns is delivered.
 func (c *Client) Subscribe(prefix string) (*Subscription, error) {
 	s := &Subscription{c: c, prefix: prefix, ch: make(chan *wire.Message, 256)}
 	c.mu.Lock()
@@ -241,7 +250,8 @@ func (c *Client) Subscribe(prefix string) (*Subscription, error) {
 	if err := sub.PackJSON(map[string]string{"prefix": prefix}); err != nil {
 		return nil, err
 	}
-	if err := c.conn.Send(sub); err != nil {
+	if _, err := c.exchange(context.Background(), sub); err != nil {
+		s.Close()
 		return nil, fmt.Errorf("client: subscribe: %w", err)
 	}
 	return s, nil

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"fluxgo/internal/broker"
 	"fluxgo/internal/kvs"
 	"fluxgo/internal/session"
+	"fluxgo/internal/transport"
 	"fluxgo/internal/wire"
 )
 
@@ -174,5 +176,94 @@ func TestClientCloseFailsPending(t *testing.T) {
 func TestMatchTopicClient(t *testing.T) {
 	if !matchTopic("a", "a.b") || matchTopic("a", "ab") || !matchTopic("", "x") {
 		t.Fatal("matchTopic rules wrong")
+	}
+}
+
+// attachClient connects a Client to rank's broker of an in-process
+// session over a real socket.
+func attachClient(t *testing.T, s *session.Session, rank int) *Client {
+	t.Helper()
+	key := []byte("attach")
+	ln, err := transport.Listen("127.0.0.1:0", key, fmt.Sprintf("rank:%d", rank))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err == nil {
+			s.Broker(rank).AttachConn(broker.LinkClient, conn)
+		}
+		accepted <- err
+	}()
+	c, err := Dial(ln.Addr().String(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := <-accepted; err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestSubscribeThenPublish: an event published right after Subscribe
+// returns reaches the subscriber. The subscription and the publication
+// travel on one link, but the broker handles control messages on shard
+// 0 and a request on its flow's shard, so Subscribe must wait for the
+// broker's acknowledgement. A second client keeps shard 0 busy with
+// subscription churn, as other tools attached to the same broker may.
+func TestSubscribeThenPublish(t *testing.T) {
+	s, err := session.New(session.Options{Size: 3, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	c := attachClient(t, s, 0)
+	churn := attachClient(t, s, 0)
+	stop := make(chan struct{})
+	churned := make(chan struct{})
+	go func() {
+		defer close(churned)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			topic := wire.TopicSub
+			if i%2 == 1 {
+				topic = wire.TopicUnsub
+			}
+			m := &wire.Message{Type: wire.Control, Topic: topic}
+			m.PackJSON(map[string]string{"prefix": "churn"})
+			if churn.conn.Send(m) != nil {
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-churned }()
+	type pubBody struct {
+		Topic string `json:"topic"`
+	}
+	for i := 0; i < 200; i++ {
+		topic := fmt.Sprintf("subpub%d", i)
+		sub, err := c.Subscribe(topic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RPC(wire.TopicPub, wire.NodeidAny, pubBody{Topic: topic}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case ev := <-sub.Chan():
+			if ev.Topic != topic {
+				t.Fatalf("event %q on the subscription to %q", ev.Topic, topic)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("event %d published right after Subscribe returned never arrived", i)
+		}
+		sub.Close()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -109,13 +110,25 @@ type fenceState struct {
 	seen    map[string]bool   // entry IDs accumulated (dedupe under retry/dup)
 	entries []fenceEntry      // deduped entries, in arrival order
 	unsent  int               // entries[unsent:] not yet batched upstream (slaves)
-	objects map[string][]byte // unsent objects, deduped by ref
-	sentObj map[string]bool   // refs already forwarded upstream (slaves):
-	// an object's data crosses each tree edge at most once per fence;
-	// later batches carry the (key, ref) tuple only. This is what makes
-	// redundant values reduce up the tree (Fig. 3) while tuples always
-	// concatenate.
-	pending []*wire.Message // requests awaiting fence completion
+	objects map[string][]byte // every object of the fence, deduped by ref
+	// fresh lists the refs in objects not yet batched upstream (slaves):
+	// an object's data crosses each tree edge once per fence unless a
+	// failure forces a re-send; later batches carry the (key, ref) tuple
+	// only. This is what makes redundant values reduce up the tree
+	// (Fig. 3) while tuples always concatenate. objects keeps the data
+	// until completion, because a held batch that fails is re-sent with
+	// everything (see recvFenceDone).
+	fresh   []string
+	held    bool            // the held kvs.fence batch went upstream (slaves)
+	add     *fenceAdd       // the unanswered kvs.fenceadd, nil if none (slaves)
+	pending []*wire.Message // requests awaiting fence completion (adds are answered on receipt)
+}
+
+// fenceAdd is what a slave's in-flight kvs.fenceadd carried, so that a
+// failed add's entries and objects go into the next batch.
+type fenceAdd struct {
+	from int      // the add carried entries[from:unsent at send time]
+	refs []string // and these objects
 }
 
 // doneFence is the master's record of a completed fence, kept so batches
@@ -222,19 +235,20 @@ type Module struct {
 	// Observability: counter and histogram handles into the broker's
 	// registry, resolved once at Init and namespaced by service name so
 	// sharded instances ("kvs0", "kvs1", ...) stay distinguishable.
-	obsGets        *obs.Counter // get requests served
-	obsLoads       *obs.Counter // objects faulted in from upstream
-	obsBatches     *obs.Counter // upstream load RPCs issued (each may carry many refs)
-	obsCoalesced   *obs.Counter // fault-ins satisfied by waiting on another goroutine's fetch
-	obsDiskLoads   *obs.Counter // read misses served from the disk tier instead of upstream
-	obsRecoveries  *obs.Counter // durable opens that found prior state on disk
-	obsPersistErrs *obs.Counter // commits refused because the root could not be made durable
-	histGet        *obs.Histogram
-	histPut        *obs.Histogram
-	histFence      *obs.Histogram
-	histLoad       *obs.Histogram
-	histReplay     *obs.Histogram // cold-restore (recovery replay) latency
-	histCheckpoint *obs.Histogram
+	obsGets         *obs.Counter // get requests served
+	obsLoads        *obs.Counter // objects faulted in from upstream
+	obsBatches      *obs.Counter // upstream load RPCs issued (each may carry many refs)
+	obsCoalesced    *obs.Counter // fault-ins satisfied by waiting on another goroutine's fetch
+	obsDiskLoads    *obs.Counter // read misses served from the disk tier instead of upstream
+	obsRecoveries   *obs.Counter // durable opens that found prior state on disk
+	obsPersistErrs  *obs.Counter // commits refused because the root could not be made durable
+	obsFenceBatches *obs.Counter // fence batches sent upstream: held batches (retries too) plus adds
+	histGet         *obs.Histogram
+	histPut         *obs.Histogram
+	histFence       *obs.Histogram
+	histLoad        *obs.Histogram
+	histReplay      *obs.Histogram // cold-restore (recovery replay) latency
+	histCheckpoint  *obs.Histogram
 
 	// Storage gauges mirror cas.DurableStats into the broker registry so
 	// flux stats / flight dumps carry the disk tier's state without a
@@ -290,6 +304,7 @@ func (m *Module) Init(h *broker.Handle) error {
 	m.obsDiskLoads = reg.Counter(svc + ".disk_loads")
 	m.obsRecoveries = reg.Counter(svc + ".recoveries")
 	m.obsPersistErrs = reg.Counter(svc + ".persist_errors")
+	m.obsFenceBatches = reg.Counter(svc + ".fence_batches")
 	m.sem = make(chan struct{}, maxLoadWorkers)
 	m.histGet = reg.Histogram(svc + ".get_ns")
 	m.histPut = reg.Histogram(svc + ".put_ns")
@@ -391,8 +406,9 @@ func (m *Module) upstreamTarget() uint32 {
 }
 
 // Recv implements broker.Module. All module state is owned by the Recv
-// goroutine except fence completion, which arrives on batch-RPC
-// goroutines and re-enters through the broker as kvs.fencedone requests.
+// goroutine except the outcome of an upstream fence batch, which arrives
+// on a batch-RPC goroutine and re-enters through the broker as a
+// kvs.fencedone request.
 // Read traffic (get/load) is parsed here, then served on bounded worker
 // goroutines that touch only the thread-safe store, the singleflight
 // table, and the handle — so a read stalled faulting objects upstream
@@ -416,7 +432,7 @@ func (m *Module) Recv(msg *wire.Message) {
 		start := time.Now()
 		m.recvPut(msg)
 		m.histPut.Observe(time.Since(start))
-	case "fence", "commit":
+	case "fence", "commit", "fenceadd":
 		start := time.Now()
 		m.recvFence(msg)
 		m.histFence.Observe(time.Since(start))
@@ -486,7 +502,9 @@ func (m *Module) recvPut(msg *wire.Message) {
 // aggregated child batch). Entries are deduplicated by ID, so retried
 // and fault-duplicated batches are harmless; objects are deduped by
 // content hash, so redundant values reduce up the tree while (key, ref)
-// tuples concatenate — the asymmetry behind Fig. 3.
+// tuples concatenate — the asymmetry behind Fig. 3. A kvs.fence or
+// kvs.commit is held until the fence completes; a child's kvs.fenceadd
+// is answered as soon as it is folded in.
 func (m *Module) recvFence(msg *wire.Message) {
 	body, err := decodeFenceBody(msg)
 	if err != nil {
@@ -500,6 +518,10 @@ func (m *Module) recvFence(msg *wire.Message) {
 		// A batch retried after completion (its response was lost): answer
 		// from the reply cache rather than seeding a phantom fence.
 		if done, ok := m.doneFences[body.Name]; ok {
+			if msg.Method() == "fenceadd" {
+				m.h.Respond(msg, struct{}{}) // the held batch carries the outcome
+				return
+			}
 			if done.errmsg != "" {
 				m.h.RespondError(msg, done.errnum, done.errmsg)
 			} else {
@@ -514,7 +536,6 @@ func (m *Module) recvFence(msg *wire.Message) {
 			nprocs:  body.NProcs,
 			seen:    map[string]bool{},
 			objects: map[string][]byte{},
-			sentObj: map[string]bool{},
 		}
 		m.fences[body.Name] = st
 	}
@@ -539,25 +560,35 @@ func (m *Module) recvFence(msg *wire.Message) {
 			if _, have := st.objects[op.Ref]; have {
 				continue
 			}
-			if st.sentObj[op.Ref] {
-				continue // data already crossed our upstream edge
-			}
 			if ref, err := cas.ParseRef(op.Ref); err == nil {
 				if data, ok := m.store.GetRaw(ref); ok {
-					st.objects[op.Ref] = data
+					m.addFenceObject(st, op.Ref, data)
 				}
 			}
 		}
 	}
 	for refHex, data := range body.Objects {
-		if _, dup := st.objects[refHex]; !dup && !st.sentObj[refHex] {
-			st.objects[refHex] = data
+		if _, dup := st.objects[refHex]; !dup {
+			m.addFenceObject(st, refHex, data)
 		}
 	}
-	st.pending = append(st.pending, msg)
+	if msg.Method() == "fenceadd" {
+		m.h.Respond(msg, struct{}{})
+	} else {
+		st.pending = append(st.pending, msg)
+	}
 
 	if m.isMaster() {
 		m.maybeCompleteFence(body.Name, st)
+	}
+}
+
+// addFenceObject records an object new to the fence; at a slave it also
+// queues the object for the next upstream batch.
+func (m *Module) addFenceObject(st *fenceState, refHex string, data []byte) {
+	st.objects[refHex] = data
+	if !m.isMaster() {
+		st.fresh = append(st.fresh, refHex)
 	}
 }
 
@@ -700,29 +731,49 @@ func (m *Module) recordDone(name string, d doneFence) {
 	m.doneFences[name] = d
 }
 
+// fenceRetries bounds how often a slave re-sends a held fence batch
+// that failed transiently before it answers its own participants with
+// EHOSTUNREACH, and fenceBackoff is the delay before the first re-send.
+const (
+	fenceRetries = 6
+	fenceBackoff = 25 * time.Millisecond
+)
+
 // Idle implements broker.IdleBatcher: slaves forward their accumulated
 // fence aggregates upstream once the inbox drains, realizing the tree
-// reduction.
+// reduction. The parent's acknowledgement clocks the flushes. A fence's
+// first batch is a kvs.fence the parent holds until completion; each
+// later one is a kvs.fenceadd the parent answers once it has folded it
+// in. While an add is unanswered the fence is skipped, so contributions
+// that arrive meanwhile coalesce into the next add instead of each
+// drain sending a batch of its own.
 func (m *Module) Idle() {
 	if m.isMaster() {
 		return
 	}
 	for name, st := range m.fences {
-		if st.unsent == len(st.entries) {
+		if st.add != nil || (st.unsent == len(st.entries) && len(st.fresh) == 0) {
 			continue
 		}
 		batch := fenceBody{
 			Name:    name,
 			NProcs:  st.nprocs,
 			Entries: append([]fenceEntry(nil), st.entries[st.unsent:]...),
-			Objects: st.objects,
+			Objects: make(map[string][]byte, len(st.fresh)),
 		}
-		for ref := range st.objects {
-			st.sentObj[ref] = true
+		for _, ref := range st.fresh {
+			batch.Objects[ref] = st.objects[ref]
+		}
+		m.obsFenceBatches.Inc()
+		if st.held {
+			st.add = &fenceAdd{from: st.unsent, refs: st.fresh}
+			go m.sendFenceAdd(batch)
+		} else {
+			st.held = true
+			go m.sendFenceBatch(batch, 0)
 		}
 		st.unsent = len(st.entries)
-		st.objects = map[string][]byte{}
-		go m.sendFenceBatch(batch)
+		st.fresh = nil
 	}
 }
 
@@ -735,24 +786,39 @@ type fenceDoneBody struct {
 	// broker is shutting down or the upstream route failed transiently,
 	// so a child's retry (deduplicated by entry ID) can still complete
 	// the fence through its adoptive parent.
-	Transient bool   `json:"transient,omitempty"`
-	Root      string `json:"root"`
-	Version   uint64 `json:"version"`
+	Transient bool `json:"transient,omitempty"`
+	// Retry, when nonzero, asks for re-send number Retry of the held
+	// batch instead of failing the fence.
+	Retry int `json:"retry,omitempty"`
+	// Add marks the answer to a kvs.fenceadd rather than to the held
+	// batch.
+	Add     bool   `json:"add,omitempty"`
+	Root    string `json:"root"`
+	Version uint64 `json:"version"`
 }
 
-// sendFenceBatch forwards one aggregate upstream and re-injects the
-// completion through the broker so fence state stays single-threaded.
-// Transient routing failures (a parent crash mid-fence, a deadline hit
-// during a partition) are retried with backoff: entry-ID deduplication
-// upstream makes retransmission safe, and a retry issued after
-// re-parenting travels the adoptive parent path.
-func (m *Module) sendFenceBatch(batch fenceBody) {
-	resp, err := m.h.RPCWithOptions(context.Background(), m.cfg.Service+".fence", m.upstreamTarget(), batch.bin(),
-		broker.RPCOptions{Retries: 6, Backoff: 25 * time.Millisecond})
+// sendFenceBatch forwards a fence's held batch upstream and re-injects
+// the outcome through the broker so fence state stays single-threaded.
+// A transient failure (a parent crash mid-fence, a deadline hit during a
+// partition) comes back as a request for a re-send, which recvFenceDone
+// builds from everything the fence has accumulated: the parent that
+// acknowledged this rank's adds may have died before forwarding them.
+func (m *Module) sendFenceBatch(batch fenceBody, attempt int) {
+	if attempt > 0 {
+		if err := m.h.Backoff(context.Background(), fenceBackoff, attempt-1); err != nil {
+			m.h.Send(m.cfg.Service+".fencedone", uint32(m.h.Rank()),
+				fenceDoneBody{Name: batch.Name, Error: err.Error(), Transient: true})
+			return
+		}
+	}
+	resp, err := m.h.RPCWithOptions(context.Background(), m.cfg.Service+".fence", m.upstreamTarget(), batch.bin(), broker.RPCOptions{})
 	done := fenceDoneBody{Name: batch.Name}
 	if err != nil {
 		done.Error = err.Error()
 		done.Transient = broker.ErrShutdown(err) || broker.IsTransient(err)
+		if broker.IsTransient(err) && attempt < fenceRetries {
+			done.Retry = attempt + 1
+		}
 	} else {
 		var root rootBody
 		if uerr := resp.UnpackJSON(&root); uerr != nil {
@@ -763,10 +829,37 @@ func (m *Module) sendFenceBatch(batch fenceBody) {
 	m.h.Send(m.cfg.Service+".fencedone", uint32(m.h.Rank()), done)
 }
 
-// recvFenceDone completes a fence at a slave: every request held for the
-// fence is answered with the (shared) completion result. A transient
-// failure is answered with EHOSTUNREACH, which the children retry; any
-// other failure with EPROTO, which they do not.
+// sendFenceAdd forwards one later batch of a fence as a kvs.fenceadd
+// and re-injects the parent's acknowledgement. A transient failure is
+// reported only after a backoff, because a route that is down fails
+// fast until re-parenting completes. On shutdown nothing is reported:
+// the add stays unanswered, so a dying rank sends no further adds, and
+// the held batch's own failure answers the participants.
+func (m *Module) sendFenceAdd(batch fenceBody) {
+	_, err := m.h.RPCWithOptions(context.Background(), m.cfg.Service+".fenceadd", m.upstreamTarget(), batch.bin(), broker.RPCOptions{})
+	done := fenceDoneBody{Name: batch.Name, Add: true}
+	if err != nil {
+		if broker.ErrShutdown(err) {
+			return
+		}
+		done.Error = err.Error()
+		done.Transient = broker.IsTransient(err)
+		if done.Transient && m.h.Backoff(context.Background(), fenceBackoff, 0) != nil {
+			return
+		}
+	}
+	m.h.Send(m.cfg.Service+".fencedone", uint32(m.h.Rank()), done)
+}
+
+// recvFenceDone handles the outcome of an upstream fence batch at a
+// slave. An answered add lets the next one go, and an add that failed
+// transiently puts its entries and objects into the next batch. A held
+// batch that failed transiently is re-sent with every entry and object
+// of the fence. A held batch's answer, or an add's permanent failure,
+// ends the fence: every request held for it is answered with the
+// (shared) result. A transient failure past the retries is answered
+// with EHOSTUNREACH, which the children retry; any other failure with
+// EPROTO, which they do not.
 func (m *Module) recvFenceDone(msg *wire.Message) {
 	var body fenceDoneBody
 	if err := msg.UnpackJSON(&body); err != nil {
@@ -774,7 +867,28 @@ func (m *Module) recvFenceDone(msg *wire.Message) {
 	}
 	st := m.fences[body.Name]
 	if st == nil {
-		return // another batch already completed this fence
+		return // the fence already completed
+	}
+	switch {
+	case body.Add && (body.Error == "" || body.Transient):
+		if add := st.add; add != nil && body.Error != "" {
+			st.unsent = min(st.unsent, add.from)
+			st.fresh = append(st.fresh, add.refs...)
+		}
+		st.add = nil
+		return
+	case body.Retry > 0:
+		full := fenceBody{
+			Name:    body.Name,
+			NProcs:  st.nprocs,
+			Entries: append([]fenceEntry(nil), st.entries...),
+			Objects: maps.Clone(st.objects),
+		}
+		st.unsent = len(st.entries)
+		st.fresh = nil
+		m.obsFenceBatches.Inc()
+		go m.sendFenceBatch(full, body.Retry)
+		return
 	}
 	delete(m.fences, body.Name)
 	if body.Error != "" {
@@ -1374,6 +1488,7 @@ func (m *Module) recvStats(msg *wire.Message) {
 		"loads":           m.obsLoads.Load(),
 		"load_batches":    m.obsBatches.Load(),
 		"loads_coalesced": m.obsCoalesced.Load(),
+		"fence_batches":   m.obsFenceBatches.Load(),
 		"version":         m.version,
 		"sync_waiters":    len(m.syncs),
 		"sync_oldest_ms":  m.oldestSyncMs(),

@@ -12,6 +12,7 @@ package wexec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -101,7 +102,8 @@ type Config struct {
 	Tools HandleRegistry
 }
 
-// jobState tracks completion counting (root) and batching (slaves).
+// jobState tracks completion counting (root) and batching (slaves). A
+// slave's entry lives only until Idle has forwarded its counts.
 type jobState struct {
 	expected    int // root only: total tasks (from the run event)
 	count       int
@@ -118,7 +120,7 @@ type Module struct {
 
 	mu      sync.Mutex
 	jobs    map[string]*jobState
-	cancels map[string][]context.CancelFunc // jobid -> local task cancels
+	cancels map[string][]*context.CancelFunc // jobid -> cancels of local tasks still running
 	wg      sync.WaitGroup
 
 	// Observability handles into the broker registry ("wexec.*").
@@ -137,7 +139,7 @@ func New(cfg Config) *Module {
 	return &Module{
 		cfg:     cfg,
 		jobs:    map[string]*jobState{},
-		cancels: map[string][]context.CancelFunc{},
+		cancels: map[string][]*context.CancelFunc{},
 	}
 }
 
@@ -170,7 +172,7 @@ func (m *Module) Shutdown() {
 	m.mu.Lock()
 	for _, cancels := range m.cancels {
 		for _, c := range cancels {
-			c()
+			(*c)()
 		}
 	}
 	m.mu.Unlock()
@@ -258,7 +260,7 @@ func (m *Module) onRun(msg *wire.Message) {
 	tool, tok := m.cfg.Tools[body.Program]
 	ctx, cancel := context.WithCancel(context.Background())
 	m.mu.Lock()
-	m.cancels[body.JobID] = append(m.cancels[body.JobID], cancel)
+	m.cancels[body.JobID] = append(m.cancels[body.JobID], &cancel)
 	m.mu.Unlock()
 	m.wg.Add(1)
 	m.obsTasks.Inc()
@@ -283,6 +285,7 @@ func (m *Module) onRun(msg *wire.Message) {
 		default:
 			fmt.Fprintf(&stderr, "wexec: no such program %q\n", body.Program)
 		}
+		m.dropCancel(body.JobID, &cancel)
 		m.obsRunning.Add(-1)
 		if code != 0 {
 			m.obsFailed.Inc()
@@ -312,6 +315,18 @@ func (m *Module) completeTask(kc *kvs.Client, jobid string, code int, stdout, st
 	}
 	// Report completion; the module aggregates counts upstream on Idle.
 	m.h.Send("wexec.done", uint32(m.h.Rank()), doneBody{JobID: jobid, Count: 1, Fails: fails})
+}
+
+// dropCancel forgets an ended task's cancel func.
+func (m *Module) dropCancel(jobid string, cancel *context.CancelFunc) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rest := slices.DeleteFunc(m.cancels[jobid], func(c *context.CancelFunc) bool { return c == cancel })
+	if len(rest) == 0 {
+		delete(m.cancels, jobid)
+	} else {
+		m.cancels[jobid] = rest
+	}
 }
 
 func (m *Module) ensureJobLocked(jobid string) *jobState {
@@ -415,12 +430,13 @@ func (m *Module) onKill(msg *wire.Message) {
 	delete(m.cancels, body.JobID)
 	m.mu.Unlock()
 	for _, c := range cancels {
-		c()
+		(*c)()
 	}
 }
 
 // Idle implements broker.IdleBatcher: slaves aggregate completion counts
-// upstream.
+// upstream and then forget the jobs, so a slave tracks only counts it
+// has not yet forwarded.
 func (m *Module) Idle() {
 	if m.h.Rank() == 0 {
 		return
@@ -428,11 +444,10 @@ func (m *Module) Idle() {
 	m.mu.Lock()
 	var batches []doneBody
 	for jobid, st := range m.jobs {
-		if st.unsentCount == 0 {
-			continue
+		if st.unsentCount > 0 {
+			batches = append(batches, doneBody{JobID: jobid, Count: st.unsentCount, Fails: st.unsentFails})
 		}
-		batches = append(batches, doneBody{JobID: jobid, Count: st.unsentCount, Fails: st.unsentFails})
-		st.unsentCount, st.unsentFails = 0, 0
+		delete(m.jobs, jobid)
 	}
 	m.mu.Unlock()
 	for _, b := range batches {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"fluxgo/internal/broker"
 	"fluxgo/internal/kvs"
 	"fluxgo/internal/session"
 )
@@ -258,5 +259,66 @@ func TestConcurrentJobsOneRankOutput(t *testing.T) {
 	}
 	if n > 0 {
 		t.Fatalf("%d of %d task outputs missing or wrong after Wait", n, workers*jobs)
+	}
+}
+
+// TestSlavesForgetForwardedJobs: a non-root rank keeps no per-job state
+// once it has forwarded a job's completion counts, and no cancel func
+// once its task has ended, however many jobs it has run.
+func TestSlavesForgetForwardedJobs(t *testing.T) {
+	const size, jobs = 7, 20
+	var mu sync.Mutex
+	mods := map[int]*Module{}
+	s, err := session.New(session.Options{
+		Size: size,
+		Modules: []session.ModuleFactory{
+			kvs.Factory(kvs.ModuleConfig{}),
+			func(rank, size int) broker.Module {
+				m := New(Config{})
+				mu.Lock()
+				mods[rank] = m
+				mu.Unlock()
+				return m
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	h := s.Handle(0)
+	defer h.Close()
+	for j := 0; j < jobs; j++ {
+		jobid := fmt.Sprintf("forget%d", j)
+		if _, err := Run(h, jobid, "echo", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := Wait(ctx(t), h, jobid); err != nil || res.State != "complete" {
+			t.Fatalf("%s: %+v, %v", jobid, res, err)
+		}
+	}
+	for r := 1; r < size; r++ {
+		resp, err := h.RPC("wexec.stats", uint32(r), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st struct {
+			Tracked *int `json:"jobs_tracked"`
+		}
+		if err := resp.UnpackJSON(&st); err != nil || st.Tracked == nil {
+			t.Fatalf("rank %d wexec.stats: %v (jobs_tracked missing: %v)", r, err, st.Tracked == nil)
+		}
+		if *st.Tracked != 0 {
+			t.Fatalf("rank %d tracks %d jobs after %d finished, want 0", r, *st.Tracked, jobs)
+		}
+		mu.Lock()
+		m := mods[r]
+		mu.Unlock()
+		m.mu.Lock()
+		cancels := len(m.cancels)
+		m.mu.Unlock()
+		if cancels != 0 {
+			t.Fatalf("rank %d keeps cancel funcs for %d ended jobs", r, cancels)
+		}
 	}
 }

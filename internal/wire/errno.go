@@ -83,6 +83,7 @@ var OpErrnos = map[string][]int32{
 	"kvs.put":        {ErrnoInval, ErrnoProto},
 	"kvs.fence":      {ErrnoInval, ErrnoIO, ErrnoProto},
 	"kvs.commit":     {ErrnoInval, ErrnoIO, ErrnoProto},
+	"kvs.fenceadd":   {ErrnoInval, ErrnoIO, ErrnoProto},
 	"kvs.fencedone":  {ErrnoInval, ErrnoIO, ErrnoProto},
 	"kvs.rootupdate": {ErrnoInval},
 	"kvs.get":        {ErrnoInval, ErrnoNoEnt, ErrnoNotDir, ErrnoProto},
